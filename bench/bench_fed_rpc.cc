@@ -1,30 +1,38 @@
 // FED-RPC — the cost of federation when every cross-catalog access
-// pays a (simulated) round trip, and what the batching + caching
-// layers buy back. Reprises the Figure 3 provenance-chain walk and the
-// Figure 4 index refresh over SimulatedRpcCatalogClient in three
-// transport modes:
-//   naive   — every point lookup is its own round trip (batching off)
-//   batched — compound GetProvenanceStep / BatchGet, one trip each
+// pays a wire round trip, and what the batching + caching layers buy
+// back. Reprises the Figure 3 provenance-chain walk and the Figure 4
+// index refresh over WireCatalogClient (an in-memory pipe to a
+// CatalogServer) in three modes:
+//   naive   — NaiveRpcClient splits every compound request into the
+//             point requests it is made of, one round trip apiece
+//   batched — compound GetProvenanceStep / BatchGet / ApplyBatch, one
+//             trip each
 //   cached  — batched + the version-invalidated remote object cache
-// plus a fault sweep (loss + scheduled outages) showing the retry
-// path absorbs transport faults without hard failures.
+// plus a fault sweep: seeded connection resets, truncated frames and
+// lost replies on a FaultyChannel under ResilientCatalogClient, which
+// must absorb them with retries and no hard failures.
 //
 // The `round_trips` counter on each benchmark is trips per walk /
-// refresh; tools/run_bench.sh gates on naive/batched+cache >= 5x.
+// refresh, counted by WireClientStats::round_trips; tools/run_bench.sh
+// gates on naive/batched+cache >= 5x. Every gate counts round trips,
+// not time.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bench_common.h"
+#include "catalog/wire.h"
 #include "federation/fed_provenance.h"
+#include "federation/faulty_transport.h"
 #include "federation/index.h"
 #include "federation/registry.h"
 #include "federation/remote_cache.h"
-#include "federation/rpc_client.h"
-#include "grid/simulator.h"
-#include "workload/testbed.h"
+#include "federation/resilient_client.h"
+#include "federation/server.h"
 
 namespace vdg {
 namespace {
@@ -41,77 +49,203 @@ VirtualDataCatalog* ChainCatalog() {
   return cached->get();
 }
 
-struct RpcWorld {
-  std::unique_ptr<GridSimulator> grid;
-  std::shared_ptr<SimulatedRpcCatalogClient> rpc;
-  CatalogRegistry registry;
+/// The naive-RPC baseline: a Call interceptor over a wire client that
+/// splits each compound request (BatchGet, GetProvenanceStep,
+/// ApplyBatch) into point requests, one round trip apiece. Every other
+/// request passes through unchanged.
+class NaiveRpcClient : public CatalogClient {
+ public:
+  explicit NaiveRpcClient(std::shared_ptr<CatalogClient> wire)
+      : wire_(std::move(wire)) {}
 
-  explicit RpcWorld(bool batching, std::shared_ptr<CatalogClient> cache_over =
-                                       nullptr) {
-    grid = std::make_unique<GridSimulator>(workload::SmallTestbed(), 11);
-    RpcConfig config;
-    config.enable_batching = batching;
-    rpc = std::make_shared<SimulatedRpcCatalogClient>(
-        std::make_shared<InProcessCatalogClient>(ChainCatalog()),
-        grid.get(), config);
-    std::shared_ptr<CatalogClient> endpoint = rpc;
-    if (cache_over != nullptr) endpoint = cache_over;
-    if (!registry.RegisterClient(endpoint).ok()) std::abort();
+  const std::string& authority() const override { return wire_->authority(); }
+  bool read_only() const override { return wire_->read_only(); }
+
+  Result<wire::Response> Call(const wire::Request& request) override {
+    wire::Response resp;
+    resp.kind = request.kind;
+    switch (request.kind) {
+      case wire::MsgKind::kBatchGet: {
+        std::vector<ObjectRecord> records;
+        for (const ObjectKey& key :
+             std::get<wire::BatchGetReq>(request.body).keys) {
+          VDG_ASSIGN_OR_RETURN(std::vector<ObjectRecord> one,
+                               wire_->BatchGet({key}));
+          records.push_back(std::move(one.front()));
+        }
+        resp.body = wire::RecordsResp{std::move(records)};
+        return resp;
+      }
+      case wire::MsgKind::kGetProvenanceStep: {
+        VDG_ASSIGN_OR_RETURN(
+            ProvenanceStep step,
+            PointStep(std::get<wire::NameReq>(request.body).name));
+        resp.body = wire::StepResp{std::move(step)};
+        return resp;
+      }
+      case wire::MsgKind::kApplyBatch: {
+        const auto& body = std::get<wire::ApplyBatchReq>(request.body);
+        VDG_ASSIGN_OR_RETURN(BatchResult result,
+                             PointBatch(body.mutations, body.options));
+        resp.body = wire::BatchResultResp{std::move(result)};
+        return resp;
+      }
+      default:
+        return wire_->Call(request);
+    }
   }
+
+ private:
+  /// The four point lookups a provenance hop is made of.
+  Result<ProvenanceStep> PointStep(const std::string& dataset) {
+    ProvenanceStep step;
+    step.dataset = dataset;
+    VDG_ASSIGN_OR_RETURN(step.exists, wire_->HasDataset(dataset));
+    if (!step.exists) return step;
+    Result<std::string> producer = wire_->ProducerOf(dataset);
+    if (!producer.ok()) {
+      if (producer.status().IsNotFound()) return step;  // raw input
+      return producer.status();
+    }
+    step.producer = *producer;
+    Result<Derivation> derivation = wire_->GetDerivation(step.producer);
+    if (!derivation.ok()) {
+      if (derivation.status().IsNotFound()) return step;
+      return derivation.status();
+    }
+    step.derivation = *std::move(derivation);
+    VDG_ASSIGN_OR_RETURN(step.invocations,
+                         wire_->InvocationsOf(step.producer));
+    return step;
+  }
+
+  /// One single-op batch per mutation, with the cross-op id references
+  /// resolved on the client from the ids earlier ops were assigned.
+  Result<BatchResult> PointBatch(const std::vector<CatalogMutation>& mutations,
+                                 const BatchOptions& options) {
+    BatchResult result;
+    result.assigned_ids.resize(mutations.size());
+    for (size_t i = 0; i < mutations.size(); ++i) {
+      if (options.stop_on_error && !result.first_error.ok()) {
+        result.statuses.push_back(
+            Status::FailedPrecondition("batch aborted by earlier failure"));
+        continue;
+      }
+      CatalogMutation op = mutations[i];
+      auto assigned = [&](size_t pos) -> const std::string* {
+        return pos < i && !result.assigned_ids[pos].empty()
+                   ? &result.assigned_ids[pos]
+                   : nullptr;
+      };
+      Status status = Status::OK();
+      if (auto* annotate = std::get_if<CatalogMutation::AnnotateOp>(&op.op);
+          annotate != nullptr && annotate->name_from_op.has_value()) {
+        const std::string* id = assigned(*annotate->name_from_op);
+        if (id == nullptr) status = Status::InvalidArgument("no assigned id");
+        else annotate->name = *id;
+        annotate->name_from_op.reset();
+      } else if (auto* record =
+                     std::get_if<CatalogMutation::RecordInvocationOp>(&op.op)) {
+        for (size_t pos : record->produced_from_ops) {
+          const std::string* id = assigned(pos);
+          if (id == nullptr) status = Status::InvalidArgument("no assigned id");
+          else record->invocation.produced_replicas.push_back(*id);
+        }
+        record->produced_from_ops.clear();
+      }
+      if (status.ok()) {
+        VDG_ASSIGN_OR_RETURN(BatchResult one,
+                             wire_->ApplyBatch({std::move(op)}));
+        status = one.statuses.front();
+        result.assigned_ids[i] = std::move(one.assigned_ids.front());
+        result.version = one.version;
+      }
+      if (status.ok()) {
+        ++result.applied;
+      } else if (result.first_error.ok()) {
+        result.first_error = status;
+      }
+      result.statuses.push_back(std::move(status));
+    }
+    return result;
+  }
+
+  std::shared_ptr<CatalogClient> wire_;
 };
 
-void WalkChain(const CatalogRegistry& registry) {
+/// One catalog server over `catalog` and a wire client connected to it
+/// through an in-memory pipe. `client` is the wire client itself
+/// (batched) or the naive splitter over it.
+struct RpcWorld {
+  std::unique_ptr<CatalogServer> server;
+  std::shared_ptr<WireCatalogClient> wire;
+  std::shared_ptr<CatalogClient> client;
+
+  RpcWorld(VirtualDataCatalog* catalog, bool batching) {
+    ServerOptions options;
+    options.workers = 1;
+    server = std::make_unique<CatalogServer>(
+        std::make_shared<InProcessCatalogClient>(catalog), options);
+    Result<std::shared_ptr<WireCatalogClient>> connected =
+        WireCatalogClient::Connect(server.get());
+    if (!connected.ok()) std::abort();
+    wire = *connected;
+    wire->reset_stats();  // drop the handshake
+    client = batching ? std::shared_ptr<CatalogClient>(wire)
+                      : std::make_shared<NaiveRpcClient>(wire);
+  }
+
+  uint64_t round_trips() const { return wire->stats().round_trips; }
+};
+
+/// Walks the chain; false when the walk failed.
+bool WalkChain(const CatalogRegistry& registry) {
   FederatedProvenance prov(registry);
   Result<LineageNode> lineage =
       prov.Lineage(nullptr, "vdp://chain.org/d" + std::to_string(kChainDepth));
-  if (!lineage.ok()) std::abort();
   benchmark::DoNotOptimize(lineage);
+  return lineage.ok();
+}
+
+void RunWalk(benchmark::State& state, bool batching, bool cached) {
+  RpcWorld world(ChainCatalog(), batching);
+  std::shared_ptr<CachingCatalogClient> cache;
+  CatalogRegistry registry;
+  std::shared_ptr<CatalogClient> endpoint = world.client;
+  if (cached) {
+    cache = std::make_shared<CachingCatalogClient>(endpoint);
+    endpoint = cache;
+  }
+  if (!registry.RegisterClient(endpoint).ok()) std::abort();
+  for (auto _ : state) {
+    if (!WalkChain(registry)) std::abort();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["round_trips"] =
+      static_cast<double>(world.round_trips()) /
+      static_cast<double>(state.iterations());
+  if (cache != nullptr) {
+    state.counters["cache_hits"] = static_cast<double>(cache->stats().hits);
+  }
 }
 
 // FIG3 over naive RPC: each of the chain's links costs four point
 // round trips (exists / producer / derivation / invocations).
 void BM_Fig3ChainWalk_NaiveRpc(benchmark::State& state) {
-  RpcWorld world(/*batching=*/false);
-  for (auto _ : state) {
-    WalkChain(world.registry);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["round_trips"] =
-      static_cast<double>(world.rpc->stats().round_trips) /
-      static_cast<double>(state.iterations());
+  RunWalk(state, /*batching=*/false, /*cached=*/false);
 }
 BENCHMARK(BM_Fig3ChainWalk_NaiveRpc);
 
 // FIG3 batched: one compound GetProvenanceStep trip per link.
 void BM_Fig3ChainWalk_BatchedRpc(benchmark::State& state) {
-  RpcWorld world(/*batching=*/true);
-  for (auto _ : state) {
-    WalkChain(world.registry);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["round_trips"] =
-      static_cast<double>(world.rpc->stats().round_trips) /
-      static_cast<double>(state.iterations());
+  RunWalk(state, /*batching=*/true, /*cached=*/false);
 }
 BENCHMARK(BM_Fig3ChainWalk_BatchedRpc);
 
 // FIG3 batched + cache: the first walk fills the step cache; repeat
 // walks are round-trip-free until the server's version moves.
 void BM_Fig3ChainWalk_CachedRpc(benchmark::State& state) {
-  auto grid = std::make_unique<GridSimulator>(workload::SmallTestbed(), 11);
-  auto rpc = std::make_shared<SimulatedRpcCatalogClient>(
-      std::make_shared<InProcessCatalogClient>(ChainCatalog()), grid.get());
-  auto cache = std::make_shared<CachingCatalogClient>(rpc);
-  CatalogRegistry registry;
-  if (!registry.RegisterClient(cache).ok()) std::abort();
-  for (auto _ : state) {
-    WalkChain(registry);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["round_trips"] =
-      static_cast<double>(rpc->stats().round_trips) /
-      static_cast<double>(state.iterations());
-  state.counters["cache_hits"] = static_cast<double>(cache->stats().hits);
+  RunWalk(state, /*batching=*/true, /*cached=*/true);
 }
 BENCHMARK(BM_Fig3ChainWalk_CachedRpc);
 
@@ -119,14 +253,10 @@ BENCHMARK(BM_Fig3ChainWalk_CachedRpc);
 // + changelog + K point gets. Batched: version poll + changelog + ONE
 // BatchGet, independent of K.
 void RunRefresh(benchmark::State& state, bool batching) {
-  auto grid = std::make_unique<GridSimulator>(workload::SmallTestbed(), 13);
-  RpcConfig config;
-  config.enable_batching = batching;
   VirtualDataCatalog* catalog = ChainCatalog();
-  auto rpc = std::make_shared<SimulatedRpcCatalogClient>(
-      std::make_shared<InProcessCatalogClient>(catalog), grid.get(), config);
+  RpcWorld world(catalog, batching);
   FederatedIndex index("fig4-rpc");
-  if (!index.AddSource(rpc).ok()) std::abort();
+  if (!index.AddSource(world.client).ok()) std::abort();
   if (!index.Refresh().ok()) std::abort();
 
   uint64_t refresh_trips = 0;
@@ -141,10 +271,10 @@ void RunRefresh(benchmark::State& state, bool batching) {
       if (!touched.ok()) std::abort();
     }
     ++round;
-    uint64_t before = rpc->stats().round_trips;
+    uint64_t before = world.round_trips();
     state.ResumeTiming();
     if (!index.Refresh().ok()) std::abort();
-    refresh_trips += rpc->stats().round_trips - before;
+    refresh_trips += world.round_trips() - before;
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["round_trips"] = static_cast<double>(refresh_trips) /
@@ -162,37 +292,49 @@ void BM_Fig4Refresh_BatchedRpc(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig4Refresh_BatchedRpc);
 
-// Fault sweep: 15% loss plus a crash/restore outage cycle on the
-// server's site. Every walk must still complete — retries and
-// backoff absorb the faults — with zero hard failures.
+// Fault sweep: seeded connection resets, truncated request frames and
+// lost replies on every connection of a resilient client. Every walk
+// must still complete — reconnects, retries and backoff absorb the
+// faults — with zero hard failures.
 void BM_FaultSweep(benchmark::State& state) {
-  auto grid = std::make_unique<GridSimulator>(workload::SmallTestbed(), 17);
-  RpcConfig config;
-  config.loss_rate = 0.15;
-  config.site = "east";
-  config.max_attempts = 10;
-  config.backoff_base_s = 0.2;
-  auto rpc = std::make_shared<SimulatedRpcCatalogClient>(
-      std::make_shared<InProcessCatalogClient>(ChainCatalog()), grid.get(),
-      config);
+  ServerOptions server_options;
+  server_options.workers = 1;
+  CatalogServer server(
+      std::make_shared<InProcessCatalogClient>(ChainCatalog()),
+      server_options);
+  FaultProfile profile;
+  profile.reset_rate = 0.05;
+  profile.truncate_rate = 0.02;
+  profile.recv_reset_rate = 0.03;
+  profile.short_write_rate = 0.05;
+  auto injector = std::make_shared<FaultInjector>(profile, 17);
+  ResilientEndpoint endpoint;
+  endpoint.name = "chain";
+  endpoint.connect =
+      [&server, injector]() -> Result<std::shared_ptr<CatalogClient>> {
+    VDG_ASSIGN_OR_RETURN(std::shared_ptr<WireCatalogClient> wire,
+                         ConnectFaulty(&server, injector));
+    return std::static_pointer_cast<CatalogClient>(wire);
+  };
+  ResilientOptions options;
+  options.max_attempts = 10;
+  options.backoff_base = std::chrono::milliseconds(1);
+  options.retry_budget = std::chrono::milliseconds(10'000);
+  auto resilient = std::make_shared<ResilientCatalogClient>(
+      std::vector<ResilientEndpoint>{endpoint}, options);
   CatalogRegistry registry;
-  if (!registry.RegisterClient(rpc).ok()) std::abort();
-  int walk = 0;
+  if (!registry.RegisterClient(resilient).ok()) std::abort();
+  uint64_t failures = 0;
   for (auto _ : state) {
-    // Every 4th walk starts under a 2-simulated-second crash window.
-    if (walk++ % 4 == 0) {
-      if (!grid->ScheduleOutage("east", 0.0, 2.0, true).ok()) std::abort();
-    }
-    WalkChain(registry);
+    if (!WalkChain(registry)) ++failures;
   }
-  if (rpc->stats().failures != 0) std::abort();
+  ResilientStats stats = resilient->stats();
   state.SetItemsProcessed(state.iterations());
-  state.counters["retries"] = static_cast<double>(rpc->stats().retries);
-  state.counters["lost_calls"] =
-      static_cast<double>(rpc->stats().lost_calls);
-  state.counters["outage_rejections"] =
-      static_cast<double>(rpc->stats().outage_rejections);
-  state.counters["failures"] = static_cast<double>(rpc->stats().failures);
+  state.counters["retries"] = static_cast<double>(stats.retries);
+  state.counters["reconnects"] = static_cast<double>(stats.reconnects);
+  state.counters["faults_injected"] =
+      static_cast<double>(injector->stats().total());
+  state.counters["failures"] = static_cast<double>(failures);
 }
 BENCHMARK(BM_FaultSweep);
 
@@ -200,19 +342,14 @@ BENCHMARK(BM_FaultSweep);
 // ships after running a derivation — replicas for each output, the
 // dataset size updates, the invocation consuming those replica ids,
 // and a retry-count annotation on the invocation. Naive transport
-// decomposes the batch into per-op round trips (plus a version poll);
-// batched ships the whole thing in ONE trip.
+// sends one single-op request per op; batched ships the whole thing in
+// ONE trip.
 void RunWriteBack(benchmark::State& state, bool batching) {
   // Fresh chain catalog per run: write-back mutates it, and sharing
   // the cached ChainCatalog would leak state into the walk benches.
   std::unique_ptr<VirtualDataCatalog> catalog =
       bench::BuildChainCatalog("writeback.org", kChainDepth);
-  auto grid = std::make_unique<GridSimulator>(workload::SmallTestbed(), 19);
-  RpcConfig config;
-  config.enable_batching = batching;
-  auto rpc = std::make_shared<SimulatedRpcCatalogClient>(
-      std::make_shared<InProcessCatalogClient>(catalog.get()), grid.get(),
-      config);
+  RpcWorld world(catalog.get(), batching);
 
   constexpr int kOutputs = 3;
   uint64_t trips = 0;
@@ -247,11 +384,11 @@ void RunWriteBack(benchmark::State& state, bool batching) {
         static_cast<int64_t>(2)));
     BatchOptions options;
     options.stop_on_error = true;
-    uint64_t before = rpc->stats().round_trips;
+    uint64_t before = world.round_trips();
     state.ResumeTiming();
-    Result<BatchResult> applied = rpc->ApplyBatch(batch, options);
+    Result<BatchResult> applied = world.client->ApplyBatch(batch, options);
     if (!applied.ok() || !applied->first_error.ok()) std::abort();
-    trips += rpc->stats().round_trips - before;
+    trips += world.round_trips() - before;
     ++run;
   }
   state.SetItemsProcessed(state.iterations());

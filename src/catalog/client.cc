@@ -3,6 +3,8 @@
 #include <utility>
 #include <variant>
 
+#include "catalog/wire.h"
+
 namespace vdg {
 
 Result<std::vector<uint64_t>> CatalogClient::ShardVersions() {
@@ -19,86 +21,368 @@ Result<std::vector<CatalogChange>> CatalogClient::ShardChangesSince(
   return ChangesSince(since_version);
 }
 
+// ---------------------------------------------------------------------
+// Typed face -> Call: pack the arguments, move the typed body out.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/// Sends one `kind` request carrying `body` through client.Call and
+/// moves `field` out of the expected response body. A missing body of
+/// that type is a protocol violation.
+template <typename RespT, typename FieldT, typename ReqT>
+Result<FieldT> RoundTrip(CatalogClient& client, wire::MsgKind kind, ReqT body,
+                         FieldT RespT::*field) {
+  Result<wire::Response> resp =
+      client.Call(wire::Request{kind, std::move(body)});
+  if (!resp.ok()) return resp.status();
+  if (!resp->status.ok()) return resp->status;
+  auto* typed = std::get_if<RespT>(&resp->body);
+  if (typed == nullptr) {
+    return Status::Internal("wire: response body missing for " +
+                            std::string(wire::MsgKindName(kind)));
+  }
+  return std::move(typed->*field);
+}
+
+/// Mutations whose reply is the status alone.
+template <typename ReqT>
+Status StatusCall(CatalogClient& client, wire::MsgKind kind, ReqT body) {
+  Result<wire::Response> resp =
+      client.Call(wire::Request{kind, std::move(body)});
+  return resp.ok() ? resp->status : resp.status();
+}
+
+wire::NameReq NameOf(std::string_view name) {
+  return wire::NameReq{std::string(name)};
+}
+
+}  // namespace
+
+Result<wire::Response> CatalogClient::Call(const wire::Request& request) {
+  return wire::Dispatch(*this, request);
+}
+
+Result<uint64_t> CatalogClient::Version() {
+  return RoundTrip(*this, wire::MsgKind::kVersion, wire::EmptyReq{},
+                   &wire::VersionResp::version);
+}
+
+Result<std::vector<CatalogChange>> CatalogClient::ChangesSince(
+    uint64_t since_version) {
+  return RoundTrip(*this, wire::MsgKind::kChangesSince,
+                   wire::ChangesSinceReq{since_version},
+                   &wire::ChangesResp::changes);
+}
+
+Result<Dataset> CatalogClient::GetDataset(std::string_view name) {
+  return RoundTrip(*this, wire::MsgKind::kGetDataset, NameOf(name),
+                   &wire::DatasetResp::dataset);
+}
+
+Result<Transformation> CatalogClient::GetTransformation(
+    std::string_view name) {
+  return RoundTrip(*this, wire::MsgKind::kGetTransformation, NameOf(name),
+                   &wire::TransformationResp::transformation);
+}
+
+Result<Derivation> CatalogClient::GetDerivation(std::string_view name) {
+  return RoundTrip(*this, wire::MsgKind::kGetDerivation, NameOf(name),
+                   &wire::DerivationResp::derivation);
+}
+
+Result<bool> CatalogClient::HasDataset(std::string_view name) {
+  return RoundTrip(*this, wire::MsgKind::kHasDataset, NameOf(name),
+                   &wire::BoolResp::value);
+}
+
+Result<bool> CatalogClient::IsMaterialized(std::string_view dataset) {
+  return RoundTrip(*this, wire::MsgKind::kIsMaterialized, NameOf(dataset),
+                   &wire::BoolResp::value);
+}
+
+Result<std::string> CatalogClient::ProducerOf(std::string_view dataset) {
+  return RoundTrip(*this, wire::MsgKind::kProducerOf, NameOf(dataset),
+                   &wire::StringResp::value);
+}
+
+Result<std::vector<Invocation>> CatalogClient::InvocationsOf(
+    std::string_view derivation) {
+  return RoundTrip(*this, wire::MsgKind::kInvocationsOf, NameOf(derivation),
+                   &wire::InvocationsResp::invocations);
+}
+
+Result<NameList> CatalogClient::FindDatasets(const DatasetQuery& query) {
+  return RoundTrip(*this, wire::MsgKind::kFindDatasets,
+                   wire::FindDatasetsReq{query}, &wire::NamesResp::names);
+}
+
+Result<NameList> CatalogClient::FindTransformations(
+    const TransformationQuery& query) {
+  return RoundTrip(*this, wire::MsgKind::kFindTransformations,
+                   wire::FindTransformationsReq{query},
+                   &wire::NamesResp::names);
+}
+
+Result<NameList> CatalogClient::FindDerivations(const DerivationQuery& query) {
+  return RoundTrip(*this, wire::MsgKind::kFindDerivations,
+                   wire::FindDerivationsReq{query}, &wire::NamesResp::names);
+}
+
+Result<NameList> CatalogClient::AllNames(std::string_view kind) {
+  return RoundTrip(*this, wire::MsgKind::kAllNames, NameOf(kind),
+                   &wire::NamesResp::names);
+}
+
+Result<bool> CatalogClient::TypeConforms(const DatasetType& type,
+                                         const DatasetType& against) {
+  return RoundTrip(*this, wire::MsgKind::kTypeConforms,
+                   wire::TypeConformsReq{type, against},
+                   &wire::BoolResp::value);
+}
+
+Result<std::vector<ObjectRecord>> CatalogClient::BatchGet(
+    const std::vector<ObjectKey>& keys) {
+  return RoundTrip(*this, wire::MsgKind::kBatchGet, wire::BatchGetReq{keys},
+                   &wire::RecordsResp::records);
+}
+
+Result<ProvenanceStep> CatalogClient::GetProvenanceStep(
+    std::string_view dataset) {
+  return RoundTrip(*this, wire::MsgKind::kGetProvenanceStep, NameOf(dataset),
+                   &wire::StepResp::step);
+}
+
+Status CatalogClient::DefineDataset(Dataset dataset) {
+  return StatusCall(*this, wire::MsgKind::kDefineDataset,
+                    wire::DefineDatasetReq{std::move(dataset)});
+}
+
+Status CatalogClient::DefineTransformation(Transformation transformation) {
+  return StatusCall(*this, wire::MsgKind::kDefineTransformation,
+                    wire::DefineTransformationReq{std::move(transformation)});
+}
+
+Status CatalogClient::DefineDerivation(Derivation derivation) {
+  return StatusCall(*this, wire::MsgKind::kDefineDerivation,
+                    wire::DefineDerivationReq{std::move(derivation)});
+}
+
+Status CatalogClient::Annotate(std::string_view kind, std::string_view name,
+                               std::string_view key, AttributeValue value) {
+  return StatusCall(*this, wire::MsgKind::kAnnotate,
+                    wire::AnnotateReq{std::string(kind), std::string(name),
+                                      std::string(key), std::move(value)});
+}
+
+Result<std::string> CatalogClient::AddReplica(Replica replica) {
+  return RoundTrip(*this, wire::MsgKind::kAddReplica,
+                   wire::AddReplicaReq{std::move(replica)},
+                   &wire::StringResp::value);
+}
+
+Result<std::string> CatalogClient::RecordInvocation(Invocation invocation) {
+  return RoundTrip(*this, wire::MsgKind::kRecordInvocation,
+                   wire::RecordInvocationReq{std::move(invocation)},
+                   &wire::StringResp::value);
+}
+
+Status CatalogClient::SetDatasetSize(std::string_view name,
+                                     int64_t size_bytes) {
+  return StatusCall(*this, wire::MsgKind::kSetDatasetSize,
+                    wire::SetDatasetSizeReq{std::string(name), size_bytes});
+}
+
+Status CatalogClient::InvalidateReplica(std::string_view id) {
+  return StatusCall(*this, wire::MsgKind::kInvalidateReplica, NameOf(id));
+}
+
 Result<BatchResult> CatalogClient::ApplyBatch(
     const std::vector<CatalogMutation>& mutations,
     const BatchOptions& options) {
-  BatchResult result;
-  result.statuses.reserve(mutations.size());
-  result.assigned_ids.resize(mutations.size());
-  bool aborted = false;
-  for (size_t i = 0; i < mutations.size(); ++i) {
-    if (aborted) {
-      result.statuses.push_back(
-          Status::FailedPrecondition("batch aborted by earlier failure"));
-      continue;
-    }
-    Status s = std::visit(
-        [&](const auto& op) -> Status {
-          using Op = std::decay_t<decltype(op)>;
-          if constexpr (std::is_same_v<Op, CatalogMutation::DefineDatasetOp>) {
-            return DefineDataset(op.dataset);
-          } else if constexpr (std::is_same_v<
-                                   Op,
-                                   CatalogMutation::DefineTransformationOp>) {
-            return DefineTransformation(op.transformation);
-          } else if constexpr (std::is_same_v<
-                                   Op, CatalogMutation::DefineDerivationOp>) {
-            return DefineDerivation(op.derivation);
-          } else if constexpr (std::is_same_v<Op,
-                                              CatalogMutation::AnnotateOp>) {
-            std::string target = op.name;
-            if (op.name_from_op.has_value()) {
-              if (*op.name_from_op >= i ||
-                  result.assigned_ids[*op.name_from_op].empty()) {
-                return Status::InvalidArgument(
-                    "annotate references batch op " +
-                    std::to_string(*op.name_from_op) +
-                    " which assigned no id");
-              }
-              target = result.assigned_ids[*op.name_from_op];
-            }
-            return Annotate(op.kind, target, op.key, op.value);
-          } else if constexpr (std::is_same_v<Op,
-                                              CatalogMutation::AddReplicaOp>) {
-            VDG_ASSIGN_OR_RETURN(std::string id, AddReplica(op.replica));
-            result.assigned_ids[i] = std::move(id);
-            return Status::OK();
-          } else if constexpr (std::is_same_v<
-                                   Op, CatalogMutation::RecordInvocationOp>) {
-            Invocation iv = op.invocation;
-            for (size_t pos : op.produced_from_ops) {
-              if (pos >= i || result.assigned_ids[pos].empty()) {
-                return Status::InvalidArgument(
-                    "invocation references batch op " + std::to_string(pos) +
-                    " which assigned no id");
-              }
-              iv.produced_replicas.push_back(result.assigned_ids[pos]);
-            }
-            VDG_ASSIGN_OR_RETURN(std::string id,
-                                 RecordInvocation(std::move(iv)));
-            result.assigned_ids[i] = std::move(id);
-            return Status::OK();
-          } else if constexpr (std::is_same_v<
-                                   Op, CatalogMutation::SetDatasetSizeOp>) {
-            return SetDatasetSize(op.name, op.size_bytes);
-          } else {
-            static_assert(
-                std::is_same_v<Op, CatalogMutation::InvalidateReplicaOp>);
-            return InvalidateReplica(op.id);
-          }
-        },
-        mutations[i].op);
-    if (s.ok()) {
-      ++result.applied;
-    } else {
-      if (result.first_error.ok()) result.first_error = s;
-      if (options.stop_on_error) aborted = true;
-    }
-    result.statuses.push_back(std::move(s));
-  }
-  VDG_ASSIGN_OR_RETURN(result.version, Version());
-  return result;
+  return RoundTrip(*this, wire::MsgKind::kApplyBatch,
+                   wire::ApplyBatchReq{mutations, options},
+                   &wire::BatchResultResp::result);
 }
+
+// ---------------------------------------------------------------------
+// Call -> typed face: unpack the request, pack the outcome.
+// ---------------------------------------------------------------------
+
+namespace wire {
+
+namespace {
+
+template <typename BodyT, typename T>
+void Fill(Response& resp, Result<T> result) {
+  if (result.ok()) {
+    resp.body = BodyT{std::move(*result)};
+  } else {
+    resp.status = result.status();
+  }
+}
+
+template <typename ReqT>
+const ReqT& Body(const Request& request) {
+  return std::get<ReqT>(request.body);
+}
+
+}  // namespace
+
+Response Dispatch(CatalogClient& client, const Request& request) {
+  Response resp;
+  resp.kind = request.kind;
+  switch (request.kind) {
+    case MsgKind::kHandshake:
+      resp.body = HandshakeResp{client.authority(), client.read_only()};
+      break;
+    case MsgKind::kVersion:
+      Fill<VersionResp>(resp, client.Version());
+      break;
+    case MsgKind::kChangesSince:
+      Fill<ChangesResp>(
+          resp,
+          client.ChangesSince(Body<ChangesSinceReq>(request).since_version));
+      break;
+    case MsgKind::kGetDataset:
+      Fill<DatasetResp>(resp, client.GetDataset(Body<NameReq>(request).name));
+      break;
+    case MsgKind::kGetTransformation:
+      Fill<TransformationResp>(
+          resp, client.GetTransformation(Body<NameReq>(request).name));
+      break;
+    case MsgKind::kGetDerivation:
+      Fill<DerivationResp>(resp,
+                           client.GetDerivation(Body<NameReq>(request).name));
+      break;
+    case MsgKind::kHasDataset:
+      Fill<BoolResp>(resp, client.HasDataset(Body<NameReq>(request).name));
+      break;
+    case MsgKind::kIsMaterialized:
+      Fill<BoolResp>(resp, client.IsMaterialized(Body<NameReq>(request).name));
+      break;
+    case MsgKind::kProducerOf:
+      Fill<StringResp>(resp, client.ProducerOf(Body<NameReq>(request).name));
+      break;
+    case MsgKind::kInvocationsOf:
+      Fill<InvocationsResp>(resp,
+                            client.InvocationsOf(Body<NameReq>(request).name));
+      break;
+    case MsgKind::kFindDatasets:
+      Fill<NamesResp>(
+          resp, client.FindDatasets(Body<FindDatasetsReq>(request).query));
+      break;
+    case MsgKind::kFindTransformations:
+      Fill<NamesResp>(resp, client.FindTransformations(
+                                Body<FindTransformationsReq>(request).query));
+      break;
+    case MsgKind::kFindDerivations:
+      Fill<NamesResp>(resp, client.FindDerivations(
+                                Body<FindDerivationsReq>(request).query));
+      break;
+    case MsgKind::kAllNames:
+      Fill<NamesResp>(resp, client.AllNames(Body<NameReq>(request).name));
+      break;
+    case MsgKind::kTypeConforms: {
+      const auto& body = Body<TypeConformsReq>(request);
+      Fill<BoolResp>(resp, client.TypeConforms(body.type, body.against));
+      break;
+    }
+    case MsgKind::kBatchGet:
+      Fill<RecordsResp>(resp, client.BatchGet(Body<BatchGetReq>(request).keys));
+      break;
+    case MsgKind::kGetProvenanceStep:
+      Fill<StepResp>(resp,
+                     client.GetProvenanceStep(Body<NameReq>(request).name));
+      break;
+    case MsgKind::kDefineDataset:
+      resp.status =
+          client.DefineDataset(Body<DefineDatasetReq>(request).dataset);
+      break;
+    case MsgKind::kDefineTransformation:
+      resp.status = client.DefineTransformation(
+          Body<DefineTransformationReq>(request).transformation);
+      break;
+    case MsgKind::kDefineDerivation:
+      resp.status = client.DefineDerivation(
+          Body<DefineDerivationReq>(request).derivation);
+      break;
+    case MsgKind::kAnnotate: {
+      const auto& body = Body<AnnotateReq>(request);
+      resp.status = client.Annotate(body.kind, body.name, body.key, body.value);
+      break;
+    }
+    case MsgKind::kAddReplica:
+      Fill<StringResp>(resp,
+                       client.AddReplica(Body<AddReplicaReq>(request).replica));
+      break;
+    case MsgKind::kRecordInvocation:
+      Fill<StringResp>(resp,
+                       client.RecordInvocation(
+                           Body<RecordInvocationReq>(request).invocation));
+      break;
+    case MsgKind::kSetDatasetSize: {
+      const auto& body = Body<SetDatasetSizeReq>(request);
+      resp.status = client.SetDatasetSize(body.name, body.size_bytes);
+      break;
+    }
+    case MsgKind::kInvalidateReplica:
+      resp.status = client.InvalidateReplica(Body<NameReq>(request).name);
+      break;
+    case MsgKind::kApplyBatch: {
+      const auto& body = Body<ApplyBatchReq>(request);
+      Fill<BatchResultResp>(resp,
+                            client.ApplyBatch(body.mutations, body.options));
+      break;
+    }
+  }
+  return resp;
+}
+
+}  // namespace wire
+
+// ---------------------------------------------------------------------
+// InProcessCatalogClient
+// ---------------------------------------------------------------------
+
+namespace {
+
+/// Snapshots one catalog object into an ObjectRecord.
+ObjectRecord SnapshotObject(const VirtualDataCatalog& catalog,
+                            std::string_view kind, std::string_view name) {
+  ObjectRecord record;
+  record.kind = std::string(kind);
+  record.name = std::string(name);
+  if (kind == "dataset") {
+    auto ds = catalog.GetDataset(name);
+    if (ds.ok()) {
+      record.dataset = *std::move(ds);
+      record.materialized = catalog.IsMaterialized(name);
+    } else {
+      record.status = ds.status();
+    }
+  } else if (kind == "transformation") {
+    auto tr = catalog.GetTransformation(name);
+    if (tr.ok()) {
+      record.transformation = *std::move(tr);
+    } else {
+      record.status = tr.status();
+    }
+  } else if (kind == "derivation") {
+    auto dv = catalog.GetDerivation(name);
+    if (dv.ok()) {
+      record.derivation = *std::move(dv);
+    } else {
+      record.status = dv.status();
+    }
+  } else {
+    record.status = Status(StatusCode::kInvalidArgument,
+                           "unknown object kind '" + std::string(kind) + "'");
+  }
+  return record;
+}
+
+}  // namespace
 
 InProcessCatalogClient::InProcessCatalogClient(VirtualDataCatalog* catalog,
                                                bool read_only)
@@ -187,41 +471,6 @@ Result<NameList> InProcessCatalogClient::AllNames(
 Result<bool> InProcessCatalogClient::TypeConforms(const DatasetType& type,
                                                   const DatasetType& against) {
   return catalog_->TypeConforms(type, against);
-}
-
-ObjectRecord InProcessCatalogClient::SnapshotObject(
-    const VirtualDataCatalog& catalog, std::string_view kind,
-    std::string_view name) {
-  ObjectRecord record;
-  record.kind = std::string(kind);
-  record.name = std::string(name);
-  if (kind == "dataset") {
-    auto ds = catalog.GetDataset(name);
-    if (ds.ok()) {
-      record.dataset = *std::move(ds);
-      record.materialized = catalog.IsMaterialized(name);
-    } else {
-      record.status = ds.status();
-    }
-  } else if (kind == "transformation") {
-    auto tr = catalog.GetTransformation(name);
-    if (tr.ok()) {
-      record.transformation = *std::move(tr);
-    } else {
-      record.status = tr.status();
-    }
-  } else if (kind == "derivation") {
-    auto dv = catalog.GetDerivation(name);
-    if (dv.ok()) {
-      record.derivation = *std::move(dv);
-    } else {
-      record.status = dv.status();
-    }
-  } else {
-    record.status = Status(StatusCode::kInvalidArgument,
-                           "unknown object kind '" + std::string(kind) + "'");
-  }
-  return record;
 }
 
 Result<std::vector<ObjectRecord>> InProcessCatalogClient::BatchGet(

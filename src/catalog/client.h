@@ -55,15 +55,32 @@ struct ShardTopology {
   uint64_t fingerprint = 0;
 };
 
+namespace wire {
+struct Request;
+struct Response;
+}  // namespace wire
+
 /// The service boundary in front of a Virtual Data Catalog (Section 4:
 /// every VDC is a *server* reached through vdp:// hyperlinks). All
 /// cross-catalog consumers — the registry, federated indexes,
 /// provenance walks, promotion, the executor's provenance writes —
 /// speak this interface instead of dereferencing VirtualDataCatalog
 /// directly, so the same code runs over an in-process adapter
-/// (zero-cost, today's behavior) or a simulated/real RPC transport
-/// where round trips can be counted, batched, cached, and made to
-/// fail.
+/// (zero-cost, today's behavior) or the wire transport, where round
+/// trips can be counted, batched, cached, and made to fail.
+///
+/// Two equivalent faces, one seam. Every typed method has a matching
+/// wire::Request kind (src/catalog/wire.h), and `Call` carries any of
+/// them:
+///  - The base typed methods pack their arguments into a Request, run
+///    `Call`, and move the typed body out of the Response. Transports
+///    and interceptors (wire, resilient) override only `Call`.
+///  - The base `Call` runs wire::Dispatch, which unpacks the Request
+///    into the typed methods. Leaf clients (in-process, sharded,
+///    caching) override the typed methods and inherit `Call`, which is
+///    how a CatalogServer executes decoded requests against them.
+/// A class must override one of the two faces; overriding neither
+/// recurses forever.
 ///
 /// Conventions:
 ///  - Every read returns Result<> even where the catalog API returns a
@@ -95,6 +112,13 @@ class CatalogClient {
   /// federation code must not use it.
   virtual VirtualDataCatalog* local_catalog() const { return nullptr; }
 
+  /// One request of any kind. The call-level outcome of the catalog is
+  /// the Response's status; an error Result means no answer came back
+  /// (transport failure, client-side admission bounce, exhausted
+  /// retries). The default dispatches to the typed methods
+  /// (wire::Dispatch).
+  virtual Result<wire::Response> Call(const wire::Request& request);
+
   // ------------------------------------------------------------------
   // Reads
   // ------------------------------------------------------------------
@@ -104,11 +128,11 @@ class CatalogClient {
   /// per-shard versions — which is still monotone under mutation but
   /// is not addressable in any single shard's changelog; delta
   /// consumers use ShardVersions/ShardChangesSince instead.
-  virtual Result<uint64_t> Version() = 0;
+  virtual Result<uint64_t> Version();
   /// The catalog changelog since `since_version` (see
   /// VirtualDataCatalog::ChangesSince for the window contract).
   virtual Result<std::vector<CatalogChange>> ChangesSince(
-      uint64_t since_version) = 0;
+      uint64_t since_version);
 
   /// Shard layout behind this client. Defaults to one shard with
   /// fingerprint 0; layering clients (caching, resilient) forward it.
@@ -126,31 +150,31 @@ class CatalogClient {
   virtual Result<std::vector<CatalogChange>> ShardChangesSince(
       uint32_t shard, uint64_t since_version);
 
-  virtual Result<Dataset> GetDataset(std::string_view name) = 0;
-  virtual Result<Transformation> GetTransformation(std::string_view name) = 0;
-  virtual Result<Derivation> GetDerivation(std::string_view name) = 0;
-  virtual Result<bool> HasDataset(std::string_view name) = 0;
-  virtual Result<bool> IsMaterialized(std::string_view dataset) = 0;
-  virtual Result<std::string> ProducerOf(std::string_view dataset) = 0;
+  virtual Result<Dataset> GetDataset(std::string_view name);
+  virtual Result<Transformation> GetTransformation(std::string_view name);
+  virtual Result<Derivation> GetDerivation(std::string_view name);
+  virtual Result<bool> HasDataset(std::string_view name);
+  virtual Result<bool> IsMaterialized(std::string_view dataset);
+  virtual Result<std::string> ProducerOf(std::string_view dataset);
   virtual Result<std::vector<Invocation>> InvocationsOf(
-      std::string_view derivation) = 0;
+      std::string_view derivation);
 
   /// Discovery results are NameLists: immutable shared lists whose
   /// views stay valid for the list's lifetime regardless of transport
   /// (in-process lists pin the answering snapshot; wire transports pin
   /// the decoded response arena; caches share one list across hits).
   /// See DESIGN.md §15.
-  virtual Result<NameList> FindDatasets(const DatasetQuery& query) = 0;
+  virtual Result<NameList> FindDatasets(const DatasetQuery& query);
   virtual Result<NameList> FindTransformations(
-      const TransformationQuery& query) = 0;
-  virtual Result<NameList> FindDerivations(const DerivationQuery& query) = 0;
+      const TransformationQuery& query);
+  virtual Result<NameList> FindDerivations(const DerivationQuery& query);
   /// All object names of `kind` ("dataset"|"transformation"|
   /// "derivation").
-  virtual Result<NameList> AllNames(std::string_view kind) = 0;
+  virtual Result<NameList> AllNames(std::string_view kind);
 
   /// Type conformance judged by the owning catalog's type universe.
   virtual Result<bool> TypeConforms(const DatasetType& type,
-                                    const DatasetType& against) = 0;
+                                    const DatasetType& against);
 
   // ------------------------------------------------------------------
   // Batched reads — one round trip regardless of count
@@ -160,37 +184,32 @@ class CatalogClient {
   /// aligned with `keys` and per-entry NotFound is reported in the
   /// record, not as a call failure.
   virtual Result<std::vector<ObjectRecord>> BatchGet(
-      const std::vector<ObjectKey>& keys) = 0;
+      const std::vector<ObjectKey>& keys);
 
   /// One provenance hop (exists + producer + derivation + invocations)
   /// as a single compound call. A missing dataset is reported via
   /// `exists = false`, not an error.
-  virtual Result<ProvenanceStep> GetProvenanceStep(
-      std::string_view dataset) = 0;
+  virtual Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset);
 
   // ------------------------------------------------------------------
   // Mutations (PermissionDenied on read-only handles)
   // ------------------------------------------------------------------
 
-  virtual Status DefineDataset(Dataset dataset) = 0;
-  virtual Status DefineTransformation(Transformation transformation) = 0;
-  virtual Status DefineDerivation(Derivation derivation) = 0;
+  virtual Status DefineDataset(Dataset dataset);
+  virtual Status DefineTransformation(Transformation transformation);
+  virtual Status DefineDerivation(Derivation derivation);
   virtual Status Annotate(std::string_view kind, std::string_view name,
-                          std::string_view key, AttributeValue value) = 0;
-  virtual Result<std::string> AddReplica(Replica replica) = 0;
-  virtual Result<std::string> RecordInvocation(Invocation invocation) = 0;
-  virtual Status SetDatasetSize(std::string_view name,
-                                int64_t size_bytes) = 0;
-  virtual Status InvalidateReplica(std::string_view id) = 0;
+                          std::string_view key, AttributeValue value);
+  virtual Result<std::string> AddReplica(Replica replica);
+  virtual Result<std::string> RecordInvocation(Invocation invocation);
+  virtual Status SetDatasetSize(std::string_view name, int64_t size_bytes);
+  virtual Status InvalidateReplica(std::string_view id);
 
   /// Applies a group of mutations. Semantically equivalent to issuing
   /// the ops one by one (with cross-op id references resolved — see
-  /// CatalogMutation); transports may coalesce the whole batch into
-  /// one round trip and the catalog commits it under one lock
-  /// acquisition, one version bump, and one journal flush. The base
-  /// implementation decomposes into the single-op virtuals above — the
-  /// naive N-round-trip baseline — so every transport supports
-  /// batching even before it optimizes for it.
+  /// CatalogMutation); the whole batch is one request, and the catalog
+  /// commits it under one lock acquisition, one version bump, and one
+  /// journal flush.
   virtual Result<BatchResult> ApplyBatch(
       const std::vector<CatalogMutation>& mutations,
       const BatchOptions& options = {});
@@ -251,12 +270,6 @@ class InProcessCatalogClient : public CatalogClient {
   /// bump, one journal flush for the whole group.
   Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,
                                  const BatchOptions& options = {}) override;
-
-  /// Snapshots one catalog object into an ObjectRecord (shared with
-  /// remote transports, which execute the same logic server-side).
-  static ObjectRecord SnapshotObject(const VirtualDataCatalog& catalog,
-                                     std::string_view kind,
-                                     std::string_view name);
 
  private:
   Status CheckWritable() const;

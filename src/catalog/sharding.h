@@ -40,7 +40,7 @@ uint64_t ShardSetFingerprint(
 struct ShardedClientOptions {
   /// Scatter predicate queries with one thread per shard instead of
   /// sequentially. Requires the shard clients to be thread-safe
-  /// (in-process and wire clients are; SimulatedRpc is not).
+  /// (in-process and wire clients are).
   bool parallel_fanout = false;
 
   /// Disambiguating tag baked into client-assigned replica/invocation

@@ -1071,6 +1071,43 @@ bool IsValidMsgKind(uint8_t raw) {
          raw <= static_cast<uint8_t>(MsgKind::kApplyBatch);
 }
 
+bool IsIdempotent(const Request& request) {
+  switch (request.kind) {
+    case MsgKind::kHandshake:
+    case MsgKind::kVersion:
+    case MsgKind::kChangesSince:
+    case MsgKind::kGetDataset:
+    case MsgKind::kGetTransformation:
+    case MsgKind::kGetDerivation:
+    case MsgKind::kHasDataset:
+    case MsgKind::kIsMaterialized:
+    case MsgKind::kProducerOf:
+    case MsgKind::kInvocationsOf:
+    case MsgKind::kFindDatasets:
+    case MsgKind::kFindTransformations:
+    case MsgKind::kFindDerivations:
+    case MsgKind::kAllNames:
+    case MsgKind::kTypeConforms:
+    case MsgKind::kBatchGet:
+    case MsgKind::kGetProvenanceStep:
+      return true;
+    case MsgKind::kDefineDataset:
+    case MsgKind::kDefineTransformation:
+    case MsgKind::kDefineDerivation:
+    case MsgKind::kAnnotate:
+    case MsgKind::kAddReplica:
+    case MsgKind::kRecordInvocation:
+    case MsgKind::kSetDatasetSize:
+    case MsgKind::kInvalidateReplica:
+      return false;
+    case MsgKind::kApplyBatch: {
+      const auto* body = std::get_if<ApplyBatchReq>(&request.body);
+      return body != nullptr && !body->options.idempotency_token.empty();
+    }
+  }
+  return false;
+}
+
 std::string EncodeRequestFrame(uint64_t request_id, const Request& request) {
   std::string payload;
   EncodeRequestPayload(request, &payload);

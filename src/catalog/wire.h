@@ -19,9 +19,10 @@ namespace vdg {
 /// CatalogClient call — point reads, discovery queries, the compound
 /// BatchGet / GetProvenanceStep reads, all mutations, and ApplyBatch —
 /// serializes to one length-prefixed frame, and every reply to one
-/// response frame. This replaces the simulated transport's in-process
-/// object hand-off with bytes a real server can dispatch, so RPC cost
-/// is measured serialization + dispatch, not a synthetic latency knob.
+/// response frame. Request/Response are also the in-memory form of a
+/// call: CatalogClient::Call carries them between client rungs, so a
+/// transport is one Call override and RPC cost is measured
+/// serialization + dispatch, not a synthetic latency knob.
 ///
 /// Frame layout (all integers little-endian, doubles as IEEE-754 bits):
 ///
@@ -93,6 +94,15 @@ enum class MsgKind : uint8_t {
 std::string_view MsgKindName(MsgKind kind);
 /// True when `raw` maps to a defined MsgKind value.
 bool IsValidMsgKind(uint8_t raw);
+
+/// Retry safety, decided once for every kind: true when re-sending
+/// `request` after an ambiguous transport failure (the request may
+/// have executed, its reply was lost) cannot change the catalog twice.
+/// Reads and the handshake are idempotent; single mutations are not;
+/// ApplyBatch is idempotent exactly when it carries an idempotency
+/// token, because the server's dedup window replays the recorded
+/// outcome of a token it has already executed.
+bool IsIdempotent(const Request& request);
 
 // ---------------------------------------------------------------------
 // Request payloads. Kinds whose payload is just an object name share
@@ -264,6 +274,12 @@ Result<Request> DecodeRequest(MsgKind kind, std::string_view payload);
 
 /// Decodes a response payload previously framed with kind `kind`.
 Result<Response> DecodeResponse(MsgKind kind, std::string_view payload);
+
+/// Executes `request` against `client`'s typed methods and packs the
+/// outcome: the typed method's error becomes the Response status, its
+/// value the kind's body. The default CatalogClient::Call, and so the
+/// way a CatalogServer reaches a leaf backend.
+Response Dispatch(CatalogClient& client, const Request& request);
 
 }  // namespace wire
 

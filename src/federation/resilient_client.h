@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "catalog/client.h"
+#include "catalog/wire.h"
 #include "common/rng.h"
 
 namespace vdg {
@@ -95,42 +96,17 @@ class ResilientCatalogClient : public CatalogClient {
   ResilientStats stats() const;
   BreakerState breaker_state(size_t endpoint_index) const;
 
-  Result<uint64_t> Version() override;
-  Result<std::vector<CatalogChange>> ChangesSince(
-      uint64_t since_version) override;
-  Result<Dataset> GetDataset(std::string_view name) override;
-  Result<Transformation> GetTransformation(std::string_view name) override;
-  Result<Derivation> GetDerivation(std::string_view name) override;
-  Result<bool> HasDataset(std::string_view name) override;
-  Result<bool> IsMaterialized(std::string_view dataset) override;
-  Result<std::string> ProducerOf(std::string_view dataset) override;
-  Result<std::vector<Invocation>> InvocationsOf(
-      std::string_view derivation) override;
-  Result<NameList> FindDatasets(
-      const DatasetQuery& query) override;
-  Result<NameList> FindTransformations(
-      const TransformationQuery& query) override;
-  Result<NameList> FindDerivations(
-      const DerivationQuery& query) override;
-  Result<NameList> AllNames(std::string_view kind) override;
-  Result<bool> TypeConforms(const DatasetType& type,
-                            const DatasetType& against) override;
-  Result<std::vector<ObjectRecord>> BatchGet(
-      const std::vector<ObjectKey>& keys) override;
-  Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) override;
+  /// Runs one request with retry/failover/backoff per the options.
+  /// wire::IsIdempotent(request) decides retry safety: idempotent
+  /// requests retry after any transport error; the rest retry only
+  /// while no attempt has reached an established connection, and
+  /// otherwise fail fast retry-unsafe.
+  Result<wire::Response> Call(const wire::Request& request) override;
 
-  Status DefineDataset(Dataset dataset) override;
-  Status DefineTransformation(Transformation transformation) override;
-  Status DefineDerivation(Derivation derivation) override;
-  Status Annotate(std::string_view kind, std::string_view name,
-                  std::string_view key, AttributeValue value) override;
-  Result<std::string> AddReplica(Replica replica) override;
-  Result<std::string> RecordInvocation(Invocation invocation) override;
-  Status SetDatasetSize(std::string_view name, int64_t size_bytes) override;
-  Status InvalidateReplica(std::string_view id) override;
-  /// Stamps an idempotency token (when the caller left it empty) and
-  /// retries across reconnect/failover — the server's dedup window
-  /// keeps the batch exactly-once.
+  /// Stamps an idempotency token (when the caller left it empty) before
+  /// the base packs the request, which makes the batch idempotent: it
+  /// retries across reconnect/failover and the server's dedup window
+  /// keeps it exactly-once.
   Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,
                                  const BatchOptions& options = {}) override;
 
@@ -160,35 +136,25 @@ class ResilientCatalogClient : public CatalogClient {
   void RecordSuccess(size_t i);
   void RecordFailure(size_t i, bool drop_connection);
 
-  /// Runs `fn` with retry/failover/backoff per the options.
-  /// `idempotent` calls retry after any transport error; non-
-  /// idempotent calls retry only while no attempt has reached an
-  /// established connection, and otherwise fail fast retry-unsafe.
-  template <typename T>
-  Result<T> CallImpl(bool idempotent,
-                     const std::function<Result<T>(CatalogClient&)>& fn);
-
-  template <typename T>
-  Result<T> ReadCall(const std::function<Result<T>(CatalogClient&)>& fn) {
-    return CallImpl<T>(true, fn);
-  }
-  template <typename T>
-  Result<T> MutationCall(const std::function<Result<T>(CatalogClient&)>& fn) {
-    return CallImpl<T>(false, fn);
-  }
-
   std::string GenerateToken();
 
+  /// The catalog's identity, learned from the first successful dial.
+  struct Identity {
+    std::string authority;
+    bool read_only = false;
+  };
+
   ResilientOptions options_;
-  mutable std::mutex mu_;  // guards endpoints_, stats_, rng_, authority_
+  mutable std::mutex mu_;  // guards endpoints_, stats_, rng_, identity_
   std::vector<Endpoint> endpoints_;
   int last_endpoint_ = -1;  // last endpoint an attempt ran on
   ResilientStats stats_;
   Rng rng_;
   uint64_t token_prefix_ = 0;  // random per-client ApplyBatch token space
   uint64_t next_token_ = 1;
-  std::string authority_;  // learned from the first successful connect
-  bool read_only_ = false;
+  /// Set once, never changed afterwards: authority() hands out a
+  /// reference into it that no later dial overwrites.
+  std::unique_ptr<const Identity> identity_;
 };
 
 }  // namespace vdg

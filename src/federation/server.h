@@ -24,10 +24,9 @@ namespace vdg {
 // CatalogServer — a real service runtime in front of a CatalogClient
 // backend: requests arrive as wire-codec frames on duplex byte
 // channels, an event-loop dispatcher thread validates and admits them,
-// and a stateless worker pool decodes, executes, and replies. Unlike
-// SimulatedRpcCatalogClient (which hands objects across a simulated
-// clock), every byte here is genuinely serialized, checksummed, and
-// dispatched across real threads — RPC cost is measured, not modeled.
+// and a stateless worker pool decodes, executes, and replies. Every
+// byte is genuinely serialized, checksummed, and dispatched across
+// real threads — RPC cost is measured, not modeled.
 //
 // Threading model:
 //  - One dispatcher thread owns frame extraction: it wakes when any
@@ -282,7 +281,8 @@ class CatalogServer {
   /// admitting each to the work queue or rejecting/closing per policy.
   void DrainConnection(const std::shared_ptr<ServerConnection>& conn);
 
-  /// Executes one decoded request against the backend.
+  /// Executes one decoded request through the backend's Call, behind
+  /// the ApplyBatch idempotency window.
   wire::Response Execute(const wire::Request& request);
 
   void Reply(const std::shared_ptr<ServerConnection>& conn,
@@ -373,42 +373,11 @@ class WireCatalogClient : public CatalogClient {
   /// Unavailable.
   void Disconnect();
 
-  Result<uint64_t> Version() override;
-  Result<std::vector<CatalogChange>> ChangesSince(
-      uint64_t since_version) override;
-  Result<Dataset> GetDataset(std::string_view name) override;
-  Result<Transformation> GetTransformation(std::string_view name) override;
-  Result<Derivation> GetDerivation(std::string_view name) override;
-  Result<bool> HasDataset(std::string_view name) override;
-  Result<bool> IsMaterialized(std::string_view dataset) override;
-  Result<std::string> ProducerOf(std::string_view dataset) override;
-  Result<std::vector<Invocation>> InvocationsOf(
-      std::string_view derivation) override;
-  Result<NameList> FindDatasets(
-      const DatasetQuery& query) override;
-  Result<NameList> FindTransformations(
-      const TransformationQuery& query) override;
-  Result<NameList> FindDerivations(
-      const DerivationQuery& query) override;
-  Result<NameList> AllNames(std::string_view kind) override;
-  Result<bool> TypeConforms(const DatasetType& type,
-                            const DatasetType& against) override;
-  Result<std::vector<ObjectRecord>> BatchGet(
-      const std::vector<ObjectKey>& keys) override;
-  Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) override;
-
-  Status DefineDataset(Dataset dataset) override;
-  Status DefineTransformation(Transformation transformation) override;
-  Status DefineDerivation(Derivation derivation) override;
-  Status Annotate(std::string_view kind, std::string_view name,
-                  std::string_view key, AttributeValue value) override;
-  Result<std::string> AddReplica(Replica replica) override;
-  Result<std::string> RecordInvocation(Invocation invocation) override;
-  Status SetDatasetSize(std::string_view name, int64_t size_bytes) override;
-  Status InvalidateReplica(std::string_view id) override;
-  /// Ships the whole batch as one frame / one round trip.
-  Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,
-                                 const BatchOptions& options = {}) override;
+  /// One round trip: admission check, encode+send, wait for the
+  /// response (or deadline), decode on the calling thread. Every typed
+  /// method reaches the server through here, so each is one frame and
+  /// one round trip.
+  Result<wire::Response> Call(const wire::Request& request) override;
 
  private:
   /// Why a pending slot finished (or stopped mattering).
@@ -422,10 +391,6 @@ class WireCatalogClient : public CatalogClient {
 
   WireCatalogClient(std::shared_ptr<ClientChannel> conn,
                     WireClientOptions options);
-
-  /// One round trip: admission check, encode+send, wait for the
-  /// response (or deadline), decode on the calling thread.
-  Result<wire::Response> Call(const wire::Request& request);
 
   /// Flushes the whole frame through the channel, looping on short
   /// writes, under send_mu_ so concurrent callers never interleave

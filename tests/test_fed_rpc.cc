@@ -1,11 +1,14 @@
-// Service-boundary tests: the CatalogClient interface, the simulated
-// RPC transport (latency / loss / outage coupling), request batching,
-// and the version-invalidated remote object cache. The through-line:
-// everything that works in-process works identically over RPC at zero
-// fault rates, and the batching/cache layers only change how many
-// round trips it costs.
+// Service-boundary tests: the CatalogClient interface, the wire
+// transport's round-trip accounting and its resilient retry discipline
+// (reconnect through refused dials and lost replies), request
+// batching, and the version-invalidated remote object cache. The
+// through-line: everything that works in-process works identically
+// over the wire at zero fault rates, and the batching/cache layers
+// only change how many round trips it costs.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 
@@ -14,8 +17,10 @@
 #include "federation/fed_provenance.h"
 #include "federation/index.h"
 #include "federation/registry.h"
+#include "federation/faulty_transport.h"
 #include "federation/remote_cache.h"
-#include "federation/rpc_client.h"
+#include "federation/resilient_client.h"
+#include "federation/server.h"
 #include "planner/planner.h"
 #include "workload/canonical.h"
 #include "workload/testbed.h"
@@ -47,23 +52,97 @@ std::unique_ptr<VirtualDataCatalog> ChainCatalog(int links) {
   return catalog;
 }
 
+/// Counts `*budget` down by one if it is positive; true when it was.
+bool TakeOne(std::atomic<int>* budget) {
+  int left = budget->load();
+  while (left > 0 && !budget->compare_exchange_weak(left, left - 1)) {
+  }
+  return left > 0;
+}
+
+/// A client channel whose replies can be lost: while `*lose` is
+/// positive, each arriving response is dropped (counting `*lose` down)
+/// and the connection closes, so the request executed but its caller
+/// never learns the outcome.
+class LossyChannel : public ClientChannel {
+ public:
+  LossyChannel(std::shared_ptr<ClientChannel> inner, std::atomic<int>* lose)
+      : inner_(std::move(inner)), lose_(lose) {}
+
+  ptrdiff_t Send(std::string_view bytes) override {
+    return inner_->Send(bytes);
+  }
+  bool Receive(std::string* out) override {
+    std::string bytes;
+    if (!inner_->Receive(&bytes)) return false;
+    if (TakeOne(lose_)) {
+      inner_->Close();
+      return false;
+    }
+    out->append(bytes);
+    return true;
+  }
+  void Close() override { inner_->Close(); }
+  bool closed() const override { return inner_->closed(); }
+
+ private:
+  std::shared_ptr<ClientChannel> inner_;
+  std::atomic<int>* lose_;
+};
+
 class FedRpcTest : public ::testing::Test {
  protected:
-  FedRpcTest() : grid_(workload::SmallTestbed(), 7) {
-    catalog_ = ChainCatalog(8);
-  }
+  FedRpcTest() { catalog_ = ChainCatalog(8); }
 
   std::shared_ptr<CatalogClient> InProcess() {
     return std::make_shared<InProcessCatalogClient>(catalog_.get());
   }
 
-  std::shared_ptr<SimulatedRpcCatalogClient> Rpc(RpcConfig config = {}) {
-    return std::make_shared<SimulatedRpcCatalogClient>(InProcess(), &grid_,
-                                                       config);
+  CatalogServer* Server() {
+    if (server_ == nullptr) {
+      ServerOptions options;
+      options.workers = 2;
+      server_ = std::make_unique<CatalogServer>(InProcess(), options);
+    }
+    return server_.get();
+  }
+
+  /// A wire client over an in-memory pipe to a server fronting the
+  /// chain catalog. Its stats count round trips after the handshake.
+  std::shared_ptr<WireCatalogClient> Rpc() {
+    Result<std::shared_ptr<WireCatalogClient>> client =
+        WireCatalogClient::Connect(Server());
+    EXPECT_TRUE(client.ok()) << client.status();
+    (*client)->reset_stats();
+    return *client;
+  }
+
+  /// A resilient client over one wire endpoint. Its dials are refused
+  /// while refusals_ is positive, and replies are lost while
+  /// lost_replies_ is positive.
+  std::unique_ptr<ResilientCatalogClient> Resilient(
+      ResilientOptions options = {}) {
+    ResilientEndpoint endpoint;
+    endpoint.name = "chain";
+    endpoint.connect = [this]() -> Result<std::shared_ptr<CatalogClient>> {
+      if (TakeOne(&refusals_)) {
+        return Status::Unavailable("catalog endpoint refused the dial");
+      }
+      VDG_ASSIGN_OR_RETURN(
+          std::shared_ptr<WireCatalogClient> wire,
+          WireCatalogClient::ConnectChannel(std::make_shared<LossyChannel>(
+              Server()->Connect(), &lost_replies_)));
+      return std::static_pointer_cast<CatalogClient>(wire);
+    };
+    options.backoff_base = std::chrono::milliseconds(1);
+    return std::make_unique<ResilientCatalogClient>(
+        std::vector<ResilientEndpoint>{std::move(endpoint)}, options);
   }
 
   std::unique_ptr<VirtualDataCatalog> catalog_;
-  GridSimulator grid_;
+  std::unique_ptr<CatalogServer> server_;
+  std::atomic<int> refusals_{0};
+  std::atomic<int> lost_replies_{0};
 };
 
 // ------------------------- In-process adapter ------------------------
@@ -144,174 +223,176 @@ TEST_F(FedRpcTest, ReadOnlyHandleRejectsEveryMutation) {
       catalog_->GetDataset("d0")->annotations.Has("k"));
 }
 
-// -------------------------- RPC transport ----------------------------
+// -------------------------- Wire transport ---------------------------
 
-TEST_F(FedRpcTest, ZeroFaultRpcGivesIdenticalResultsAndAdvancesTime) {
+TEST_F(FedRpcTest, ZeroFaultWireGivesIdenticalResultsAndCountsTrips) {
   auto rpc = Rpc();
   InProcessCatalogClient direct(catalog_.get());
-  SimTime before = grid_.now();
 
   EXPECT_EQ(*rpc->Version(), *direct.Version());
   EXPECT_EQ(rpc->GetDataset("d2")->name, "d2");
   EXPECT_EQ(*rpc->ProducerOf("d7"), *direct.ProducerOf("d7"));
   EXPECT_EQ(rpc->FindDatasets({})->size(), direct.FindDatasets({})->size());
-  // Four calls, four round trips, each paying the configured latency.
+  // Four calls, four round trips.
   EXPECT_EQ(rpc->stats().round_trips, 4u);
   EXPECT_EQ(rpc->stats().failures, 0u);
-  EXPECT_DOUBLE_EQ(grid_.now() - before, 4 * rpc->config().latency_s);
 }
 
 TEST_F(FedRpcTest, LossyTransportRetriesUntilSuccess) {
-  RpcConfig config;
-  config.loss_rate = 0.4;
-  config.max_attempts = 16;
-  auto rpc = Rpc(config);
+  // Seeded resets on the request path and lost replies on the response
+  // path; reads are idempotent, so the resilient client re-dials and
+  // re-sends until each one lands.
+  FaultProfile profile;
+  profile.reset_rate = 0.2;
+  profile.recv_reset_rate = 0.1;
+  auto injector = std::make_shared<FaultInjector>(profile, 7);
+  ResilientEndpoint endpoint;
+  endpoint.name = "chain";
+  endpoint.connect = [this,
+                      injector]() -> Result<std::shared_ptr<CatalogClient>> {
+    VDG_ASSIGN_OR_RETURN(std::shared_ptr<WireCatalogClient> wire,
+                         ConnectFaulty(Server(), injector));
+    return std::static_pointer_cast<CatalogClient>(wire);
+  };
+  ResilientOptions options;
+  options.max_attempts = 16;
+  options.retry_budget = std::chrono::milliseconds(10'000);
+  options.backoff_base = std::chrono::milliseconds(1);
+  options.breaker_threshold = 100;
+  ResilientCatalogClient client({endpoint}, options);
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(rpc->HasDataset("d0").ok());
+    ASSERT_TRUE(client.HasDataset("d0").ok());
   }
-  EXPECT_EQ(rpc->stats().failures, 0u);
-  EXPECT_GT(rpc->stats().lost_calls, 0u);
-  EXPECT_EQ(rpc->stats().retries, rpc->stats().lost_calls);
-  EXPECT_EQ(rpc->stats().round_trips, 50u);
+  EXPECT_EQ(client.stats().exhausted_calls, 0u);
+  EXPECT_GT(injector->stats().total(), 0u);
+  EXPECT_GT(client.stats().retries, 0u);
 }
 
 TEST_F(FedRpcTest, OutageRejectsThenBackoffOutlivesTheOutage) {
-  RpcConfig config;
-  config.site = "east";
-  config.max_attempts = 6;
-  auto rpc = Rpc(config);
-  ASSERT_TRUE(rpc->HasDataset("d0").ok());  // site up: one clean trip
-
-  // A 3-simulated-second crash window starting now: the first attempt
-  // finds the site down, and the retry backoff (run through the event
-  // queue) carries the clock past the scheduled restore.
-  ASSERT_TRUE(grid_.ScheduleOutage("east", 0.0, 3.0, true).ok());
-  Result<bool> has = rpc->HasDataset("d4");
+  // The endpoint is down for the eager dial and the call's first two
+  // dials. A refused dial never reached the catalog, so the backoff
+  // retries through it and the call lands once the endpoint is back.
+  refusals_ = 3;
+  auto client = Resilient();
+  Result<bool> has = client->HasDataset("d4");
   ASSERT_TRUE(has.ok()) << has.status();
   EXPECT_TRUE(*has);
-  EXPECT_GT(rpc->stats().outage_rejections, 0u);
-  EXPECT_GT(rpc->stats().retries, 0u);
-  EXPECT_EQ(rpc->stats().failures, 0u);
-  EXPECT_FALSE(grid_.IsSiteCrashed("east"));
+  EXPECT_EQ(client->stats().retries, 2u);
+  EXPECT_EQ(client->stats().exhausted_calls, 0u);
+  EXPECT_EQ(refusals_.load(), 0);
 }
 
 TEST_F(FedRpcTest, OutageLongerThanRetryBudgetSurfacesUnavailable) {
-  RpcConfig config;
-  config.site = "east";
-  config.max_attempts = 2;
-  config.backoff_base_s = 0.1;
-  auto rpc = Rpc(config);
-  // Crash with no scheduled restore: every attempt is rejected.
-  ASSERT_TRUE(grid_.CrashSite("east").ok());
-  Status lost = rpc->HasDataset("d0").status();
-  EXPECT_TRUE(lost.IsUnavailable());
-  EXPECT_EQ(rpc->stats().failures, 1u);
-  EXPECT_EQ(rpc->stats().outage_rejections, 2u);
+  refusals_ = 1'000;  // every dial is refused
+  ResilientOptions options;
+  options.max_attempts = 2;
+  auto client = Resilient(options);
+  Status lost = client->HasDataset("d0").status();
+  EXPECT_TRUE(lost.IsUnavailable()) << lost;
+  EXPECT_EQ(client->stats().exhausted_calls, 1u);
+  EXPECT_EQ(client->stats().retries, 1u);
 }
 
 TEST_F(FedRpcTest, LostMutationFailsFastAndRetryUnsafe) {
-  RpcConfig config;
-  config.loss_rate = 1.0;  // every attempt is lost in transit
-  config.max_attempts = 8;
-  auto rpc = Rpc(config);
+  ResilientOptions options;
+  options.max_attempts = 8;
+  auto client = Resilient(options);
+  ASSERT_TRUE(client->HasDataset("d1").ok());  // warm the connection
 
-  // A lost mutation is ambiguous (the server may have applied it and
-  // only the response vanished), so it must NOT be blindly re-sent:
-  // one attempt, then a retry-unsafe Unavailable.
-  Status st = rpc->SetDatasetSize("d1", 4096);
+  // Every reply is lost from here on. A lost mutation is ambiguous (the
+  // server applied it, only the reply vanished), so it must NOT be
+  // blindly re-sent: one attempt, then a retry-unsafe Unavailable.
+  lost_replies_ = 1'000;
+  Status st = client->SetDatasetSize("d1", 4096);
   EXPECT_TRUE(st.IsUnavailable()) << st;
   EXPECT_FALSE(st.retry_safe());
-  EXPECT_EQ(rpc->stats().lost_calls, 1u);
-  EXPECT_EQ(rpc->stats().retries, 0u);
-  EXPECT_EQ(rpc->stats().mutation_fail_fast, 1u);
+  EXPECT_EQ(client->stats().retries, 0u);
+  EXPECT_EQ(client->stats().mutation_fail_fast, 1u);
+  EXPECT_EQ(catalog_->GetDataset("d1")->size_bytes, 4096);
 
-  // Reads under the same loss keep auto-retrying (and here exhaust the
-  // budget with a retry-SAFE Unavailable).
-  Status read = rpc->HasDataset("d1").status();
-  EXPECT_TRUE(read.IsUnavailable());
-  EXPECT_TRUE(read.retry_safe());
-  EXPECT_EQ(rpc->stats().retries, 7u);
+  // Reads under the same loss keep auto-retrying until the attempts
+  // run out.
+  Status read = client->HasDataset("d1").status();
+  EXPECT_TRUE(read.IsUnavailable()) << read;
+  EXPECT_EQ(client->stats().retries, 7u);
+  EXPECT_EQ(client->stats().mutation_fail_fast, 1u);
 }
 
 TEST_F(FedRpcTest, MutationRetriesThroughOutagesButNotLoss) {
-  RpcConfig config;
-  config.site = "east";
-  config.max_attempts = 6;
-  auto rpc = Rpc(config);
-
-  // An outage rejection happens before the server accepts the request,
-  // so even a mutation is safe to re-send: the backoff outlives the
-  // 3-second crash window and the write lands exactly once.
-  ASSERT_TRUE(grid_.ScheduleOutage("east", 0.0, 3.0, true).ok());
-  Status st = rpc->SetDatasetSize("d1", 2048);
+  // A refused dial happens before the server accepts the request, so
+  // even a mutation is safe to re-send: the write lands exactly once.
+  refusals_ = 1'000;
+  auto client = Resilient();  // the eager dial is refused
+  refusals_ = 2;
+  Status st = client->SetDatasetSize("d1", 2048);
   ASSERT_TRUE(st.ok()) << st;
   EXPECT_EQ(catalog_->GetDataset("d1")->size_bytes, 2048);
-  EXPECT_GT(rpc->stats().outage_rejections, 0u);
-  EXPECT_GT(rpc->stats().retries, 0u);
-  EXPECT_EQ(rpc->stats().mutation_fail_fast, 0u);
+  EXPECT_GT(client->stats().retries, 0u);
+  EXPECT_EQ(client->stats().mutation_fail_fast, 0u);
 }
 
 TEST_F(FedRpcTest, TokenedBatchRetriesLikeARead) {
-  RpcConfig config;
-  config.loss_rate = 0.5;
-  config.max_attempts = 32;
-  config.seed = 11;
-  auto rpc = Rpc(config);
+  auto client = Resilient();
+  ASSERT_TRUE(client->HasDataset("d1").ok());  // warm the connection
 
   Replica rep;
   rep.dataset = "d1";
   rep.site = "east";
   rep.size_bytes = 1024;
-  std::vector<CatalogMutation> batch;
-  batch.push_back(CatalogMutation::AddReplica(rep));
+  wire::Request untokened;
+  untokened.kind = wire::MsgKind::kApplyBatch;
+  untokened.body = wire::ApplyBatchReq{{CatalogMutation::AddReplica(rep)}, {}};
 
-  // Untokened: ambiguous on first loss. With loss_rate 0.5 and this
-  // seed the first draws eventually lose; keep issuing until one is
-  // actually lost to observe the fail-fast.
-  Status lost = Status::OK();
-  for (int i = 0; i < 64 && lost.ok(); ++i) {
-    lost = rpc->ApplyBatch(batch).status();
-  }
+  // Untokened: one lost reply is ambiguous, so it fails fast.
+  lost_replies_ = 1;
+  Result<wire::Response> lost = client->Call(untokened);
   ASSERT_FALSE(lost.ok());
-  EXPECT_FALSE(lost.retry_safe());
+  EXPECT_FALSE(lost.status().retry_safe());
+  EXPECT_EQ(client->stats().mutation_fail_fast, 1u);
 
-  // Tokened: the server-side dedup window makes the batch idempotent,
-  // so the transport may retry it through losses like any read.
-  uint64_t fail_fast_before = rpc->stats().mutation_fail_fast;
-  BatchOptions opts;
-  opts.idempotency_token = "sim-tok-1";
-  Result<BatchResult> tokened = rpc->ApplyBatch(batch, opts);
+  // Tokened (ApplyBatch stamps one): the server-side dedup window makes
+  // the batch idempotent, so it retries through the lost reply like any
+  // read, and the retry replays the recorded outcome.
+  ASSERT_TRUE(client->HasDataset("d1").ok());  // re-dial first
+  lost_replies_ = 1;
+  Result<BatchResult> tokened =
+      client->ApplyBatch({CatalogMutation::AddReplica(rep)});
   ASSERT_TRUE(tokened.ok()) << tokened.status();
-  EXPECT_EQ(rpc->stats().mutation_fail_fast, fail_fast_before);
+  EXPECT_TRUE(tokened->first_error.ok());
+  EXPECT_EQ(client->stats().mutation_fail_fast, 1u);
+  EXPECT_EQ(server_->stats().batch_dedup_hits.load(), 1u);
 }
 
-TEST_F(FedRpcTest, NaiveModeDecomposesCompoundCalls) {
-  RpcConfig batched_config;
-  auto batched = Rpc(batched_config);
-  RpcConfig naive_config;
-  naive_config.enable_batching = false;
-  auto naive = Rpc(naive_config);
-
+TEST_F(FedRpcTest, CompoundCallsCostOneRoundTripAgainstPointCalls) {
+  auto rpc = Rpc();
   std::vector<ObjectKey> keys;
   for (int i = 0; i <= 8; ++i) {
     keys.push_back({"dataset", "d" + std::to_string(i)});
   }
-  ASSERT_TRUE(batched->BatchGet(keys).ok());
-  ASSERT_TRUE(naive->BatchGet(keys).ok());
-  EXPECT_EQ(batched->stats().round_trips, 1u);
-  EXPECT_EQ(batched->stats().batched_lookups, keys.size());
-  EXPECT_EQ(naive->stats().round_trips, keys.size());
+  Result<std::vector<ObjectRecord>> batched = rpc->BatchGet(keys);
+  ASSERT_TRUE(batched.ok());
+  EXPECT_EQ(rpc->stats().round_trips, 1u);
+  rpc->reset_stats();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Result<Dataset> point = rpc->GetDataset(keys[i].name);
+    ASSERT_TRUE(point.ok());
+    EXPECT_EQ(point->name, (*batched)[i].dataset->name);
+  }
+  EXPECT_EQ(rpc->stats().round_trips, keys.size());
 
-  batched->reset_stats();
-  naive->reset_stats();
-  // One derived hop: 1 compound trip vs 4 point trips.
-  ASSERT_TRUE(batched->GetProvenanceStep("d5").ok());
-  ASSERT_TRUE(naive->GetProvenanceStep("d5").ok());
-  EXPECT_EQ(batched->stats().round_trips, 1u);
-  EXPECT_EQ(naive->stats().round_trips, 4u);
-  // Both modes agree on the answer.
-  EXPECT_EQ(batched->GetProvenanceStep("d5")->producer,
-            naive->GetProvenanceStep("d5")->producer);
+  // One derived hop: 1 compound trip vs its 4 point lookups.
+  rpc->reset_stats();
+  Result<ProvenanceStep> step = rpc->GetProvenanceStep("d5");
+  ASSERT_TRUE(step.ok());
+  EXPECT_EQ(rpc->stats().round_trips, 1u);
+  rpc->reset_stats();
+  ASSERT_TRUE(*rpc->HasDataset("d5"));
+  EXPECT_EQ(*rpc->ProducerOf("d5"), step->producer);
+  EXPECT_EQ(rpc->GetDerivation(step->producer)->name(),
+            step->derivation->name());
+  EXPECT_EQ(rpc->InvocationsOf(step->producer)->size(),
+            step->invocations.size());
+  EXPECT_EQ(rpc->stats().round_trips, 4u);
 }
 
 TEST_F(FedRpcTest, LineageOverRpcMatchesInProcessAndCountsTrips) {

@@ -340,6 +340,54 @@ TEST(WireFaults, AffinityRoutesAroundADeadEndpointAfterOneFailover) {
   EXPECT_EQ(dead_injector->stats().connects_refused.load(), refusals);
 }
 
+TEST(WireFaults, IdentityIsPublishedOnceWhenTheEagerDialFails) {
+  // The eager dial in the constructor fails, so the catalog's identity
+  // is learned by the first call's dial — while another thread reads
+  // authority(). A reader must see either no identity yet or the whole
+  // of it, never a string that a later dial is still writing.
+  auto catalog = ChainCatalog(2);
+  CatalogServer server(
+      std::make_shared<InProcessCatalogClient>(catalog.get(), false));
+  std::atomic<int> dials{0};
+  ResilientEndpoint endpoint;
+  endpoint.name = "late";
+  endpoint.connect =
+      [&server, &dials]() -> Result<std::shared_ptr<CatalogClient>> {
+    if (dials.fetch_add(1) == 0) {
+      return Status::Unavailable("first dial refused");
+    }
+    auto c = WireCatalogClient::Connect(&server);
+    if (!c.ok()) return c.status();
+    return std::static_pointer_cast<CatalogClient>(*c);
+  };
+  ResilientOptions ropts;
+  ropts.backoff_base = std::chrono::milliseconds(1);
+  ResilientCatalogClient client({endpoint}, ropts);
+  ASSERT_TRUE(client.authority().empty());
+
+  std::atomic<bool> reading{false};
+  std::atomic<bool> done{false};
+  std::atomic<bool> torn{false};
+  std::thread reader([&] {
+    reading = true;
+    while (!done) {
+      std::string authority = client.authority();
+      if (!authority.empty() &&
+          (authority != "chain.org" || client.read_only())) {
+        torn = true;
+      }
+    }
+  });
+  while (!reading) std::this_thread::yield();
+  Result<uint64_t> version = client.Version();
+  done = true;
+  reader.join();
+  ASSERT_TRUE(version.ok()) << version.status();
+  EXPECT_FALSE(torn);
+  EXPECT_EQ(client.authority(), "chain.org");
+  EXPECT_FALSE(client.read_only());
+}
+
 TEST(WireFaults, CircuitBreakerOpensAndShortCircuitsAfterRepeatedFailures) {
   auto catalog = ChainCatalog(2);
   CatalogServer server(

@@ -4,7 +4,7 @@
 # the results into BENCH_discovery.json at the repo root, plus the
 # concurrent-read scaling suite into BENCH_concurrency.json, the
 # fault-tolerance suite into BENCH_fault.json, and the federation
-# transport suite (simulated RPC round-trip accounting) into
+# transport suite (wire round-trip accounting) into
 # BENCH_federation.json.
 #
 # Usage: tools/run_bench.sh [build-dir]
@@ -359,10 +359,12 @@ for name, s in sorted(scenarios.items()):
 PYEOF
 
 # Federation transport: round trips per FIG3 chain walk and per FIG4
-# index refresh over simulated RPC, in naive / batched / cached modes,
-# plus the loss+outage fault sweep. Gates: batching+cache must cut
-# round trips >= 5x vs naive per-call RPC on both figures, and the
-# fault sweep must complete with retries, not hard failures.
+# index refresh, counted by WireCatalogClient over an in-memory pipe to
+# a CatalogServer, in naive (compound requests split into point
+# requests) / batched / cached modes, plus a fault sweep through
+# ResilientCatalogClient over a FaultyChannel. Gates: batching+cache
+# must cut round trips >= 5x vs naive per-call RPC on both figures,
+# and the fault sweep must complete with retries, not hard failures.
 FED_OUT="$BUILD_DIR/bench_fed_rpc.json"
 "$BUILD_DIR/bench/bench_fed_rpc" \
   --benchmark_out="$FED_OUT" --benchmark_out_format=json \
@@ -387,8 +389,8 @@ for b in raw.get("benchmarks", []):
     if name.startswith("BM_FaultSweep"):
         sweep = {
             "retries": b.get("retries"),
-            "lost_calls": b.get("lost_calls"),
-            "outage_rejections": b.get("outage_rejections"),
+            "reconnects": b.get("reconnects"),
+            "faults_injected": b.get("faults_injected"),
             "failures": b.get("failures"),
         }
 
@@ -454,7 +456,7 @@ PYEOF
 
 # Real wire path: binary-codec encode/decode throughput and full
 # client -> pipe -> worker-pool server round trips (workers 1..8),
-# merged into BENCH_federation.json next to the simulated-RPC numbers.
+# merged into BENCH_federation.json next to the round-trip counts.
 # Floors (tools/check_bench_floor.py) are ~1/4 of the rates measured
 # on the 1-CPU reference host — loose enough for shared runners, tight
 # enough to catch the codec or dispatcher degrading by integer factors.
