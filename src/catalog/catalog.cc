@@ -187,7 +187,7 @@ void VirtualDataCatalog::BumpVersion(char op, std::string_view kind,
 void VirtualDataCatalog::TrimChangelogLocked() {
   // Evict whole version groups so a batch's entries never split; an
   // oversized batch empties the window entirely, which ChangesSince
-  // reports as ResourceExhausted (the rescan fallback).
+  // reports as FailedPrecondition (the rescan fallback).
   while (changelog_.size() > changelog_capacity_) {
     uint64_t v = changelog_.front()->version;
     do {

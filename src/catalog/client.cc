@@ -45,14 +45,6 @@ Result<FieldT> RoundTrip(CatalogClient& client, wire::MsgKind kind, ReqT body,
   return std::move(typed->*field);
 }
 
-/// Mutations whose reply is the status alone.
-template <typename ReqT>
-Status StatusCall(CatalogClient& client, wire::MsgKind kind, ReqT body) {
-  Result<wire::Response> resp =
-      client.Call(wire::Request{kind, std::move(body)});
-  return resp.ok() ? resp->status : resp.status();
-}
-
 wire::NameReq NameOf(std::string_view name) {
   return wire::NameReq{std::string(name)};
 }
@@ -153,48 +145,76 @@ Result<ProvenanceStep> CatalogClient::GetProvenanceStep(
                    &wire::StepResp::step);
 }
 
+// ---------------------------------------------------------------------
+// Single-op mutations: a one-op ApplyBatch, so routing, cache
+// invalidation, idempotency tokens and dedup exist once, on the batch.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/// Applies `mutation` as a one-op batch through the virtual ApplyBatch
+/// and returns the op's assigned id ("" when it assigns none). The
+/// batch's first_error is the outcome, so a failed journal flush after
+/// an applied op still fails the call.
+Result<std::string> ApplyOne(CatalogClient& client, CatalogMutation mutation) {
+  std::vector<CatalogMutation> batch;
+  batch.push_back(std::move(mutation));
+  VDG_ASSIGN_OR_RETURN(BatchResult result, client.ApplyBatch(batch));
+  if (result.statuses.size() != 1 || result.assigned_ids.size() != 1) {
+    return Status::Internal("one-op batch returned " +
+                            std::to_string(result.statuses.size()) +
+                            " results");
+  }
+  if (!result.first_error.ok()) return result.first_error;
+  return std::move(result.assigned_ids[0]);
+}
+
+}  // namespace
+
 Status CatalogClient::DefineDataset(Dataset dataset) {
-  return StatusCall(*this, wire::MsgKind::kDefineDataset,
-                    wire::DefineDatasetReq{std::move(dataset)});
+  return ApplyOne(*this, CatalogMutation::DefineDataset(std::move(dataset)))
+      .status();
 }
 
 Status CatalogClient::DefineTransformation(Transformation transformation) {
-  return StatusCall(*this, wire::MsgKind::kDefineTransformation,
-                    wire::DefineTransformationReq{std::move(transformation)});
+  return ApplyOne(*this, CatalogMutation::DefineTransformation(
+                             std::move(transformation)))
+      .status();
 }
 
 Status CatalogClient::DefineDerivation(Derivation derivation) {
-  return StatusCall(*this, wire::MsgKind::kDefineDerivation,
-                    wire::DefineDerivationReq{std::move(derivation)});
+  return ApplyOne(*this,
+                  CatalogMutation::DefineDerivation(std::move(derivation)))
+      .status();
 }
 
 Status CatalogClient::Annotate(std::string_view kind, std::string_view name,
                                std::string_view key, AttributeValue value) {
-  return StatusCall(*this, wire::MsgKind::kAnnotate,
-                    wire::AnnotateReq{std::string(kind), std::string(name),
-                                      std::string(key), std::move(value)});
+  return ApplyOne(*this, CatalogMutation::Annotate(
+                             std::string(kind), std::string(name),
+                             std::string(key), std::move(value)))
+      .status();
 }
 
 Result<std::string> CatalogClient::AddReplica(Replica replica) {
-  return RoundTrip(*this, wire::MsgKind::kAddReplica,
-                   wire::AddReplicaReq{std::move(replica)},
-                   &wire::StringResp::value);
+  return ApplyOne(*this, CatalogMutation::AddReplica(std::move(replica)));
 }
 
 Result<std::string> CatalogClient::RecordInvocation(Invocation invocation) {
-  return RoundTrip(*this, wire::MsgKind::kRecordInvocation,
-                   wire::RecordInvocationReq{std::move(invocation)},
-                   &wire::StringResp::value);
+  return ApplyOne(*this,
+                  CatalogMutation::RecordInvocation(std::move(invocation)));
 }
 
 Status CatalogClient::SetDatasetSize(std::string_view name,
                                      int64_t size_bytes) {
-  return StatusCall(*this, wire::MsgKind::kSetDatasetSize,
-                    wire::SetDatasetSizeReq{std::string(name), size_bytes});
+  return ApplyOne(*this,
+                  CatalogMutation::SetDatasetSize(std::string(name), size_bytes))
+      .status();
 }
 
 Status CatalogClient::InvalidateReplica(std::string_view id) {
-  return StatusCall(*this, wire::MsgKind::kInvalidateReplica, NameOf(id));
+  return ApplyOne(*this, CatalogMutation::InvalidateReplica(std::string(id)))
+      .status();
 }
 
 Result<BatchResult> CatalogClient::ApplyBatch(
@@ -294,40 +314,6 @@ Response Dispatch(CatalogClient& client, const Request& request) {
     case MsgKind::kGetProvenanceStep:
       Fill<StepResp>(resp,
                      client.GetProvenanceStep(Body<NameReq>(request).name));
-      break;
-    case MsgKind::kDefineDataset:
-      resp.status =
-          client.DefineDataset(Body<DefineDatasetReq>(request).dataset);
-      break;
-    case MsgKind::kDefineTransformation:
-      resp.status = client.DefineTransformation(
-          Body<DefineTransformationReq>(request).transformation);
-      break;
-    case MsgKind::kDefineDerivation:
-      resp.status = client.DefineDerivation(
-          Body<DefineDerivationReq>(request).derivation);
-      break;
-    case MsgKind::kAnnotate: {
-      const auto& body = Body<AnnotateReq>(request);
-      resp.status = client.Annotate(body.kind, body.name, body.key, body.value);
-      break;
-    }
-    case MsgKind::kAddReplica:
-      Fill<StringResp>(resp,
-                       client.AddReplica(Body<AddReplicaReq>(request).replica));
-      break;
-    case MsgKind::kRecordInvocation:
-      Fill<StringResp>(resp,
-                       client.RecordInvocation(
-                           Body<RecordInvocationReq>(request).invocation));
-      break;
-    case MsgKind::kSetDatasetSize: {
-      const auto& body = Body<SetDatasetSizeReq>(request);
-      resp.status = client.SetDatasetSize(body.name, body.size_bytes);
-      break;
-    }
-    case MsgKind::kInvalidateReplica:
-      resp.status = client.InvalidateReplica(Body<NameReq>(request).name);
       break;
     case MsgKind::kApplyBatch: {
       const auto& body = Body<ApplyBatchReq>(request);
@@ -498,52 +484,6 @@ Result<ProvenanceStep> InProcessCatalogClient::GetProvenanceStep(
     step.invocations = catalog_->InvocationsOf(step.producer);
   }
   return step;
-}
-
-Status InProcessCatalogClient::DefineDataset(Dataset dataset) {
-  VDG_RETURN_IF_ERROR(CheckWritable());
-  return catalog_->DefineDataset(std::move(dataset));
-}
-
-Status InProcessCatalogClient::DefineTransformation(
-    Transformation transformation) {
-  VDG_RETURN_IF_ERROR(CheckWritable());
-  return catalog_->DefineTransformation(std::move(transformation));
-}
-
-Status InProcessCatalogClient::DefineDerivation(Derivation derivation) {
-  VDG_RETURN_IF_ERROR(CheckWritable());
-  return catalog_->DefineDerivation(std::move(derivation));
-}
-
-Status InProcessCatalogClient::Annotate(std::string_view kind,
-                                        std::string_view name,
-                                        std::string_view key,
-                                        AttributeValue value) {
-  VDG_RETURN_IF_ERROR(CheckWritable());
-  return catalog_->Annotate(kind, name, key, std::move(value));
-}
-
-Result<std::string> InProcessCatalogClient::AddReplica(Replica replica) {
-  VDG_RETURN_IF_ERROR(CheckWritable());
-  return catalog_->AddReplica(std::move(replica));
-}
-
-Result<std::string> InProcessCatalogClient::RecordInvocation(
-    Invocation invocation) {
-  VDG_RETURN_IF_ERROR(CheckWritable());
-  return catalog_->RecordInvocation(std::move(invocation));
-}
-
-Status InProcessCatalogClient::SetDatasetSize(std::string_view name,
-                                              int64_t size_bytes) {
-  VDG_RETURN_IF_ERROR(CheckWritable());
-  return catalog_->SetDatasetSize(name, size_bytes);
-}
-
-Status InProcessCatalogClient::InvalidateReplica(std::string_view id) {
-  VDG_RETURN_IF_ERROR(CheckWritable());
-  return catalog_->InvalidateReplica(id);
 }
 
 Result<BatchResult> InProcessCatalogClient::ApplyBatch(

@@ -69,9 +69,9 @@ struct Response;
 /// (zero-cost, today's behavior) or the wire transport, where round
 /// trips can be counted, batched, cached, and made to fail.
 ///
-/// Two equivalent faces, one seam. Every typed method has a matching
-/// wire::Request kind (src/catalog/wire.h), and `Call` carries any of
-/// them:
+/// Two equivalent faces, one seam. Every typed read and ApplyBatch has
+/// a matching wire::Request kind (src/catalog/wire.h), and `Call`
+/// carries any of them:
 ///  - The base typed methods pack their arguments into a Request, run
 ///    `Call`, and move the typed body out of the Response. Transports
 ///    and interceptors (wire, resilient) override only `Call`.
@@ -81,6 +81,12 @@ struct Response;
 ///    how a CatalogServer executes decoded requests against them.
 /// A class must override one of the two faces; overriding neither
 /// recurses forever.
+///
+/// There is one mutation path. The eight single-op mutations are not
+/// part of either face: their base bodies send one CatalogMutation
+/// through the virtual ApplyBatch, so a class that routes, caches or
+/// retries writes does so once, in ApplyBatch. They stay virtual only
+/// for decorators that time or count calls.
 ///
 /// Conventions:
 ///  - Every read returns Result<> even where the catalog API returns a
@@ -192,7 +198,9 @@ class CatalogClient {
   virtual Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset);
 
   // ------------------------------------------------------------------
-  // Mutations (PermissionDenied on read-only handles)
+  // Mutations (PermissionDenied on read-only handles). Each single-op
+  // mutation is a one-op ApplyBatch; its status is the batch's
+  // first_error, which includes a failed journal flush.
   // ------------------------------------------------------------------
 
   virtual Status DefineDataset(Dataset dataset);
@@ -257,15 +265,6 @@ class InProcessCatalogClient : public CatalogClient {
       const std::vector<ObjectKey>& keys) override;
   Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) override;
 
-  Status DefineDataset(Dataset dataset) override;
-  Status DefineTransformation(Transformation transformation) override;
-  Status DefineDerivation(Derivation derivation) override;
-  Status Annotate(std::string_view kind, std::string_view name,
-                  std::string_view key, AttributeValue value) override;
-  Result<std::string> AddReplica(Replica replica) override;
-  Result<std::string> RecordInvocation(Invocation invocation) override;
-  Status SetDatasetSize(std::string_view name, int64_t size_bytes) override;
-  Status InvalidateReplica(std::string_view id) override;
   /// Forwards to VirtualDataCatalog::ApplyBatch: one lock, one version
   /// bump, one journal flush for the whole group.
   Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,

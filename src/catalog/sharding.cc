@@ -199,7 +199,7 @@ Result<std::vector<CatalogChange>> ShardedCatalogClient::ChangesSince(
   // observations but is not addressable in any one shard's changelog,
   // so only the trivial answers exist here. Delta consumers hold
   // per-shard anchors and call ShardChangesSince instead; everyone
-  // else hits the same ResourceExhausted they already handle for an
+  // else hits the same FailedPrecondition they already handle for an
   // out-of-window changelog (full resync).
   VDG_ASSIGN_OR_RETURN(uint64_t current, Version());
   if (since_version == current) return std::vector<CatalogChange>{};
@@ -208,7 +208,7 @@ Result<std::vector<CatalogChange>> ShardedCatalogClient::ChangesSince(
         "composite version " + std::to_string(since_version) +
         " is from the future (current " + std::to_string(current) + ")");
   }
-  return Status::ResourceExhausted(
+  return Status::FailedPrecondition(
       "composite catalog version is not delta-addressable; use "
       "ShardChangesSince with per-shard anchors");
 }
@@ -417,36 +417,6 @@ Result<ProvenanceStep> ShardedCatalogClient::GetProvenanceStep(
 // Mutations
 // ---------------------------------------------------------------------
 
-Status ShardedCatalogClient::DefineDataset(Dataset dataset) {
-  auto topo = topology();
-  uint32_t shard = topo->router.ShardOf(dataset.name);
-  return topo->shards[shard]->DefineDataset(std::move(dataset));
-}
-
-Status ShardedCatalogClient::DefineTransformation(
-    Transformation transformation) {
-  // Broadcast; a partially applied earlier attempt self-heals: any
-  // fresh define plus only-AlreadyExists elsewhere still counts as
-  // success, and all-AlreadyExists is the plain retry answer.
-  auto topo = topology();
-  size_t ok_count = 0;
-  std::optional<Status> already;
-  std::optional<Status> error;
-  for (const auto& shard : topo->shards) {
-    Status s = shard->DefineTransformation(transformation);
-    if (s.ok()) {
-      ++ok_count;
-    } else if (s.IsAlreadyExists()) {
-      if (!already) already = std::move(s);
-    } else if (!error) {
-      error = std::move(s);
-    }
-  }
-  if (error) return *error;
-  if (ok_count > 0) return Status::OK();
-  return *already;  // every shard said AlreadyExists: the retry answer
-}
-
 Status ShardedCatalogClient::PlanDerivation(
     const Topology& topo, const Derivation& derivation, DerivationPlan* plan,
     const std::map<std::string, Dataset>* pending) {
@@ -562,96 +532,6 @@ Status ShardedCatalogClient::PlanDerivation(
     }
   }
   return Status::OK();
-}
-
-Status ShardedCatalogClient::DefineDerivation(Derivation derivation) {
-  auto topo = topology();
-  VDG_RETURN_IF_ERROR(derivation.Validate());
-  DerivationPlan plan;
-  VDG_RETURN_IF_ERROR(PlanDerivation(*topo, derivation, &plan));
-  for (const auto& [shard, dataset] : plan.ensure_outputs) {
-    Status s = topo->shards[shard]->DefineDataset(dataset);
-    if (!s.ok() && !s.IsAlreadyExists()) return s;
-  }
-  const uint32_t home = topo->router.ShardOf(derivation.name());
-  return topo->shards[home]->DefineDerivation(std::move(derivation));
-}
-
-Status ShardedCatalogClient::AnyShard(
-    const Topology& topo, const std::function<Status(CatalogClient&)>& fn) {
-  std::optional<Status> not_found;
-  for (const auto& shard : topo.shards) {
-    Status s = fn(*shard);
-    if (s.ok()) return s;
-    if (s.IsNotFound()) {
-      if (!not_found) not_found = std::move(s);
-    } else {
-      // A shard that cannot answer might have held the object: failing
-      // loud beats a false NotFound.
-      return s;
-    }
-  }
-  return *not_found;
-}
-
-Status ShardedCatalogClient::Annotate(std::string_view kind,
-                                      std::string_view name,
-                                      std::string_view key,
-                                      AttributeValue value) {
-  auto topo = topology();
-  if (kind == "dataset" || kind == "derivation") {
-    uint32_t shard = topo->router.ShardOf(name);
-    return topo->shards[shard]->Annotate(kind, name, key, std::move(value));
-  }
-  if (kind == "transformation") {
-    for (const auto& shard : topo->shards) {
-      VDG_RETURN_IF_ERROR(shard->Annotate(kind, name, key, value));
-    }
-    return Status::OK();
-  }
-  if (kind == "replica" || kind == "invocation") {
-    uint32_t shard = 0;
-    if (ShardFromAssignedId(*topo, name, &shard)) {
-      return topo->shards[shard]->Annotate(kind, name, key, std::move(value));
-    }
-    return AnyShard(*topo, [&](CatalogClient& client) {
-      return client.Annotate(kind, name, key, value);
-    });
-  }
-  return topo->shards[0]->Annotate(kind, name, key, std::move(value));
-}
-
-Result<std::string> ShardedCatalogClient::AddReplica(Replica replica) {
-  auto topo = topology();
-  uint32_t shard = topo->router.ShardOf(replica.dataset);
-  if (replica.id.empty()) replica.id = MakeReplicaId(shard);
-  return topo->shards[shard]->AddReplica(std::move(replica));
-}
-
-Result<std::string> ShardedCatalogClient::RecordInvocation(
-    Invocation invocation) {
-  auto topo = topology();
-  uint32_t shard = topo->router.ShardOf(invocation.derivation);
-  if (invocation.id.empty()) invocation.id = MakeInvocationId(shard);
-  return topo->shards[shard]->RecordInvocation(std::move(invocation));
-}
-
-Status ShardedCatalogClient::SetDatasetSize(std::string_view name,
-                                            int64_t size_bytes) {
-  auto topo = topology();
-  return topo->shards[topo->router.ShardOf(name)]->SetDatasetSize(name,
-                                                                  size_bytes);
-}
-
-Status ShardedCatalogClient::InvalidateReplica(std::string_view id) {
-  auto topo = topology();
-  uint32_t shard = 0;
-  if (ShardFromAssignedId(*topo, id, &shard)) {
-    return topo->shards[shard]->InvalidateReplica(id);
-  }
-  return AnyShard(*topo, [&](CatalogClient& client) {
-    return client.InvalidateReplica(id);
-  });
 }
 
 Result<BatchResult> ShardedCatalogClient::ApplyBatch(
@@ -816,6 +696,7 @@ Result<BatchResult> ShardedCatalogClient::ApplyBatch(
 
   // Execute shard by shard; each sub-batch commits under its shard's
   // single lock/version/flush. stop_on_error scopes to the sub-batch.
+  Status flush_error = Status::OK();
   for (size_t k = 0; k < shard_count; ++k) {
     if (subs[k].empty()) continue;
     std::vector<CatalogMutation> ops;
@@ -834,6 +715,15 @@ Result<BatchResult> ShardedCatalogClient::ApplyBatch(
     if (got->statuses.size() != subs[k].size()) {
       return Status::Internal("shard " + std::to_string(k) +
                               " returned a misaligned batch result");
+    }
+    // A sub-batch whose ops all applied can still fail as a whole (its
+    // journal flush did); that error is in first_error alone. Per-op
+    // errors are not folded here: a broadcast leg's NotFound or a
+    // pre-created output's AlreadyExists may merge to success.
+    if (!got->first_error.ok() && flush_error.ok() &&
+        std::all_of(got->statuses.begin(), got->statuses.end(),
+                    [](const Status& st) { return st.ok(); })) {
+      flush_error = got->first_error;
     }
     for (size_t j = 0; j < subs[k].size(); ++j) {
       const SubOp& sub = subs[k][j];
@@ -911,6 +801,7 @@ Result<BatchResult> ShardedCatalogClient::ApplyBatch(
       merged.first_error = s;
     }
   }
+  if (merged.first_error.ok()) merged.first_error = std::move(flush_error);
   VDG_ASSIGN_OR_RETURN(merged.version, Version());
   return merged;
 }

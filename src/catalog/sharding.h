@@ -72,7 +72,7 @@ struct ShardedClientOptions {
 /// per-shard versions — monotone but not addressable in any single
 /// changelog. ChangesSince(composite) answers only the trivial cases
 /// (empty delta / future version) and otherwise returns
-/// ResourceExhausted, steering delta consumers to the per-shard
+/// FailedPrecondition, steering delta consumers to the per-shard
 /// ShardVersions()/ShardChangesSince() API that CachingCatalogClient
 /// and FederatedIndex use.
 ///
@@ -81,8 +81,12 @@ struct ShardedClientOptions {
 /// result). ApplyBatch splits into per-shard sub-batches with derived
 /// idempotency tokens ("<token>/s<k>"); a transport failure mid-split
 /// may leave earlier shards committed — the error propagates and the
-/// token makes the retry safe. stop_on_error is scoped per shard
-/// sub-batch (shards commit independently).
+/// token makes the retry safe. A sub-batch whose ops applied but whose
+/// journal flush failed fails the merged first_error. stop_on_error is
+/// scoped per shard sub-batch (shards commit independently).
+/// Replica/invocation ops whose id names no shard go to every shard:
+/// one OK wins, all-NotFound is NotFound, and any other error (a shard
+/// down) propagates — never a silent miss.
 ///
 /// Shard catalogs must run in partition mode
 /// (VirtualDataCatalog::set_partition_mode): this client owns
@@ -132,15 +136,8 @@ class ShardedCatalogClient : public CatalogClient {
       const std::vector<ObjectKey>& keys) override;
   Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) override;
 
-  Status DefineDataset(Dataset dataset) override;
-  Status DefineTransformation(Transformation transformation) override;
-  Status DefineDerivation(Derivation derivation) override;
-  Status Annotate(std::string_view kind, std::string_view name,
-                  std::string_view key, AttributeValue value) override;
-  Result<std::string> AddReplica(Replica replica) override;
-  Result<std::string> RecordInvocation(Invocation invocation) override;
-  Status SetDatasetSize(std::string_view name, int64_t size_bytes) override;
-  Status InvalidateReplica(std::string_view id) override;
+  /// Every mutation, single-op ones included (see CatalogClient), is
+  /// routed here.
   Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,
                                  const BatchOptions& options = {}) override;
 
@@ -199,12 +196,6 @@ class ShardedCatalogClient : public CatalogClient {
   Result<std::vector<NameList>> ScatterLists(
       const Topology& topo,
       const std::function<Result<NameList>(CatalogClient&)>& fn);
-
-  /// Try-all fallback for replica/invocation ops whose id does not
-  /// name a shard: first OK wins; all-NotFound is NotFound; any other
-  /// error (a shard down) propagates — never a silent miss.
-  Status AnyShard(const Topology& topo,
-                  const std::function<Status(CatalogClient&)>& fn);
 
   std::string authority_;
   ShardedClientOptions options_;

@@ -939,24 +939,6 @@ void EncodeRequestPayload(const Request& request, std::string* out) {
             w.PutString(key.kind);
             w.PutString(key.name);
           }
-        } else if constexpr (std::is_same_v<T, DefineDatasetReq>) {
-          PutDataset(w, body.dataset);
-        } else if constexpr (std::is_same_v<T, DefineTransformationReq>) {
-          PutTransformation(w, body.transformation);
-        } else if constexpr (std::is_same_v<T, DefineDerivationReq>) {
-          PutDerivation(w, body.derivation);
-        } else if constexpr (std::is_same_v<T, AnnotateReq>) {
-          w.PutString(body.kind);
-          w.PutString(body.name);
-          w.PutString(body.key);
-          PutAttributeValue(w, body.value);
-        } else if constexpr (std::is_same_v<T, AddReplicaReq>) {
-          PutReplica(w, body.replica);
-        } else if constexpr (std::is_same_v<T, RecordInvocationReq>) {
-          PutInvocation(w, body.invocation);
-        } else if constexpr (std::is_same_v<T, SetDatasetSizeReq>) {
-          w.PutString(body.name);
-          w.PutI64(body.size_bytes);
         } else {
           static_assert(std::is_same_v<T, ApplyBatchReq>);
           w.PutCount(body.mutations.size());
@@ -1053,14 +1035,6 @@ std::string_view MsgKindName(MsgKind kind) {
     case MsgKind::kTypeConforms: return "TypeConforms";
     case MsgKind::kBatchGet: return "BatchGet";
     case MsgKind::kGetProvenanceStep: return "GetProvenanceStep";
-    case MsgKind::kDefineDataset: return "DefineDataset";
-    case MsgKind::kDefineTransformation: return "DefineTransformation";
-    case MsgKind::kDefineDerivation: return "DefineDerivation";
-    case MsgKind::kAnnotate: return "Annotate";
-    case MsgKind::kAddReplica: return "AddReplica";
-    case MsgKind::kRecordInvocation: return "RecordInvocation";
-    case MsgKind::kSetDatasetSize: return "SetDatasetSize";
-    case MsgKind::kInvalidateReplica: return "InvalidateReplica";
     case MsgKind::kApplyBatch: return "ApplyBatch";
   }
   return "Unknown";
@@ -1091,15 +1065,6 @@ bool IsIdempotent(const Request& request) {
     case MsgKind::kBatchGet:
     case MsgKind::kGetProvenanceStep:
       return true;
-    case MsgKind::kDefineDataset:
-    case MsgKind::kDefineTransformation:
-    case MsgKind::kDefineDerivation:
-    case MsgKind::kAnnotate:
-    case MsgKind::kAddReplica:
-    case MsgKind::kRecordInvocation:
-    case MsgKind::kSetDatasetSize:
-    case MsgKind::kInvalidateReplica:
-      return false;
     case MsgKind::kApplyBatch: {
       const auto* body = std::get_if<ApplyBatchReq>(&request.body);
       return body != nullptr && !body->options.idempotency_token.empty();
@@ -1229,8 +1194,7 @@ Result<Request> DecodeRequest(MsgKind kind, std::string_view payload) {
     case MsgKind::kProducerOf:
     case MsgKind::kInvocationsOf:
     case MsgKind::kAllNames:
-    case MsgKind::kGetProvenanceStep:
-    case MsgKind::kInvalidateReplica: {
+    case MsgKind::kGetProvenanceStep: {
       NameReq body;
       VDG_ASSIGN_OR_RETURN(body.name, r.ReadString());
       req.body = std::move(body);
@@ -1274,52 +1238,6 @@ Result<Request> DecodeRequest(MsgKind kind, std::string_view payload) {
       req.body = std::move(body);
       break;
     }
-    case MsgKind::kDefineDataset: {
-      DefineDatasetReq body;
-      VDG_ASSIGN_OR_RETURN(body.dataset, ReadDataset(r));
-      req.body = std::move(body);
-      break;
-    }
-    case MsgKind::kDefineTransformation: {
-      DefineTransformationReq body;
-      VDG_ASSIGN_OR_RETURN(body.transformation, ReadTransformation(r));
-      req.body = std::move(body);
-      break;
-    }
-    case MsgKind::kDefineDerivation: {
-      DefineDerivationReq body;
-      VDG_ASSIGN_OR_RETURN(body.derivation, ReadDerivation(r));
-      req.body = std::move(body);
-      break;
-    }
-    case MsgKind::kAnnotate: {
-      AnnotateReq body;
-      VDG_ASSIGN_OR_RETURN(body.kind, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(body.name, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(body.key, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(body.value, ReadAttributeValue(r));
-      req.body = std::move(body);
-      break;
-    }
-    case MsgKind::kAddReplica: {
-      AddReplicaReq body;
-      VDG_ASSIGN_OR_RETURN(body.replica, ReadReplica(r));
-      req.body = std::move(body);
-      break;
-    }
-    case MsgKind::kRecordInvocation: {
-      RecordInvocationReq body;
-      VDG_ASSIGN_OR_RETURN(body.invocation, ReadInvocation(r));
-      req.body = std::move(body);
-      break;
-    }
-    case MsgKind::kSetDatasetSize: {
-      SetDatasetSizeReq body;
-      VDG_ASSIGN_OR_RETURN(body.name, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(body.size_bytes, r.ReadI64());
-      req.body = std::move(body);
-      break;
-    }
     case MsgKind::kApplyBatch: {
       ApplyBatchReq body;
       VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
@@ -1329,12 +1247,7 @@ Result<Request> DecodeRequest(MsgKind kind, std::string_view payload) {
         body.mutations.push_back(std::move(m));
       }
       VDG_ASSIGN_OR_RETURN(body.options.stop_on_error, r.ReadBool());
-      // The idempotency token is a trailing optional field: frames
-      // produced by pre-token encoders end right after stop_on_error,
-      // and must keep decoding (version-tolerant within codec v1).
-      if (!r.AtEnd()) {
-        VDG_ASSIGN_OR_RETURN(body.options.idempotency_token, r.ReadString());
-      }
+      VDG_ASSIGN_OR_RETURN(body.options.idempotency_token, r.ReadString());
       req.body = std::move(body);
       break;
     }
@@ -1404,9 +1317,7 @@ Result<Response> DecodeResponse(MsgKind kind, std::string_view payload) {
       resp.body = std::move(body);
       break;
     }
-    case MsgKind::kProducerOf:
-    case MsgKind::kAddReplica:
-    case MsgKind::kRecordInvocation: {
+    case MsgKind::kProducerOf: {
       StringResp body;
       VDG_ASSIGN_OR_RETURN(body.value, r.ReadString());
       resp.body = std::move(body);
@@ -1464,14 +1375,6 @@ Result<Response> DecodeResponse(MsgKind kind, std::string_view payload) {
       resp.body = std::move(body);
       break;
     }
-    case MsgKind::kDefineDataset:
-    case MsgKind::kDefineTransformation:
-    case MsgKind::kDefineDerivation:
-    case MsgKind::kAnnotate:
-    case MsgKind::kSetDatasetSize:
-    case MsgKind::kInvalidateReplica:
-      // Status-only responses.
-      break;
   }
   VDG_RETURN_IF_ERROR(r.ExpectEnd());
   return resp;

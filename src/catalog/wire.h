@@ -17,10 +17,11 @@ namespace vdg {
 
 /// Binary wire protocol for the catalog service boundary: every
 /// CatalogClient call — point reads, discovery queries, the compound
-/// BatchGet / GetProvenanceStep reads, all mutations, and ApplyBatch —
-/// serializes to one length-prefixed frame, and every reply to one
-/// response frame. Request/Response are also the in-memory form of a
-/// call: CatalogClient::Call carries them between client rungs, so a
+/// BatchGet / GetProvenanceStep reads, and ApplyBatch, which carries
+/// every mutation (a single-op write is a one-op batch) — serializes to
+/// one length-prefixed frame, and every reply to one response frame.
+/// Request/Response are also the in-memory form of a call:
+/// CatalogClient::Call carries them between client rungs, so a
 /// transport is one Call override and RPC cost is measured
 /// serialization + dispatch, not a synthetic latency knob.
 ///
@@ -51,7 +52,10 @@ namespace vdg {
 /// results identical to InProcessCatalogClient.
 namespace wire {
 
-inline constexpr uint8_t kCodecVersion = 1;
+/// Version 2 has ApplyBatch as its only mutation kind (numbered 18)
+/// and always carries the batch's idempotency token; a peer speaking
+/// version 1's per-mutation kinds is refused at the frame header.
+inline constexpr uint8_t kCodecVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 20;
 inline constexpr size_t kFrameTrailerBytes = 4;
 /// Upper bound on one frame's declared payload. Generous for catalog
@@ -59,8 +63,10 @@ inline constexpr size_t kFrameTrailerBytes = 4;
 /// a corrupted length field from looking like a 4 GiB allocation.
 inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
 
-/// One wire message kind per CatalogClient method, plus the handshake
-/// that tells a fresh connection the server's authority and mutability.
+/// One wire message kind per CatalogClient read, one for every
+/// mutation (ApplyBatch), plus the handshake that tells a fresh
+/// connection the server's authority and mutability. Valid kinds are
+/// the contiguous range 1..kApplyBatch.
 enum class MsgKind : uint8_t {
   kHandshake = 1,
   kVersion = 2,
@@ -79,15 +85,7 @@ enum class MsgKind : uint8_t {
   kTypeConforms = 15,
   kBatchGet = 16,
   kGetProvenanceStep = 17,
-  kDefineDataset = 18,
-  kDefineTransformation = 19,
-  kDefineDerivation = 20,
-  kAnnotate = 21,
-  kAddReplica = 22,
-  kRecordInvocation = 23,
-  kSetDatasetSize = 24,
-  kInvalidateReplica = 25,
-  kApplyBatch = 26,
+  kApplyBatch = 18,
 };
 
 /// Human-readable kind name for diagnostics ("GetDataset", ...).
@@ -98,10 +96,10 @@ bool IsValidMsgKind(uint8_t raw);
 /// Retry safety, decided once for every kind: true when re-sending
 /// `request` after an ambiguous transport failure (the request may
 /// have executed, its reply was lost) cannot change the catalog twice.
-/// Reads and the handshake are idempotent; single mutations are not;
-/// ApplyBatch is idempotent exactly when it carries an idempotency
-/// token, because the server's dedup window replays the recorded
-/// outcome of a token it has already executed.
+/// Reads and the handshake are idempotent; ApplyBatch is idempotent
+/// exactly when it carries an idempotency token, because the server's
+/// dedup window replays the recorded outcome of a token it has already
+/// executed.
 bool IsIdempotent(const Request& request);
 
 // ---------------------------------------------------------------------
@@ -133,31 +131,6 @@ struct TypeConformsReq {
 struct BatchGetReq {
   std::vector<ObjectKey> keys;
 };
-struct DefineDatasetReq {
-  Dataset dataset;
-};
-struct DefineTransformationReq {
-  Transformation transformation;
-};
-struct DefineDerivationReq {
-  Derivation derivation;
-};
-struct AnnotateReq {
-  std::string kind;
-  std::string name;
-  std::string key;
-  AttributeValue value;
-};
-struct AddReplicaReq {
-  Replica replica;
-};
-struct RecordInvocationReq {
-  Invocation invocation;
-};
-struct SetDatasetSizeReq {
-  std::string name;
-  int64_t size_bytes = 0;
-};
 struct ApplyBatchReq {
   std::vector<CatalogMutation> mutations;
   BatchOptions options;
@@ -168,9 +141,7 @@ struct Request {
   MsgKind kind = MsgKind::kVersion;
   std::variant<EmptyReq, NameReq, ChangesSinceReq, FindDatasetsReq,
                FindTransformationsReq, FindDerivationsReq, TypeConformsReq,
-               BatchGetReq, DefineDatasetReq, DefineTransformationReq,
-               DefineDerivationReq, AnnotateReq, AddReplicaReq,
-               RecordInvocationReq, SetDatasetSizeReq, ApplyBatchReq>
+               BatchGetReq, ApplyBatchReq>
       body;
 };
 

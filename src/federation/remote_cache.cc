@@ -247,7 +247,7 @@ Status CachingCatalogClient::Revalidate() {
       if (!changes->empty()) synced_version_ = changes->back().version;
       return Status::OK();
     }
-    if (changes.status().code() == StatusCode::kResourceExhausted ||
+    if (changes.status().code() == StatusCode::kFailedPrecondition ||
         changes.status().IsInvalidArgument()) {
       // The server's bounded changelog no longer reaches our sync point
       // (or our version predates/postdates its window after a reset):
@@ -282,7 +282,7 @@ Status CachingCatalogClient::Revalidate() {
         if (!changes->empty()) shard_synced_[shard] = changes->back().version;
         continue;
       }
-      if (changes.status().code() == StatusCode::kResourceExhausted ||
+      if (changes.status().code() == StatusCode::kFailedPrecondition ||
           changes.status().IsInvalidArgument()) {
         // This shard's window no longer reaches our anchor; nothing
         // cached can be trusted individually.
@@ -489,116 +489,15 @@ Result<ProvenanceStep> CachingCatalogClient::GetProvenanceStep(
   return step;
 }
 
-Status CachingCatalogClient::DefineDataset(Dataset dataset) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string name = dataset.name;
-  VDG_RETURN_IF_ERROR(upstream_->DefineDataset(std::move(dataset)));
-  EvictLocked("dataset", name);
-  steps_.Erase(name);
-  FlushQueriesLocked('D');
-  return Status::OK();
-}
-
-Status CachingCatalogClient::DefineTransformation(
-    Transformation transformation) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string name = transformation.name();
-  VDG_RETURN_IF_ERROR(
-      upstream_->DefineTransformation(std::move(transformation)));
-  EvictLocked("transformation", name);
-  FlushQueriesLocked('T');
-  return Status::OK();
-}
-
-Status CachingCatalogClient::DefineDerivation(Derivation derivation) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string name = derivation.name();
-  std::vector<std::string> outputs = derivation.OutputDatasets();
-  VDG_RETURN_IF_ERROR(upstream_->DefineDerivation(std::move(derivation)));
-  EvictLocked("derivation", name);
-  // Output datasets may have been auto-defined (and their producer
-  // changed), and every step touching them is now stale.
-  for (const std::string& output : outputs) {
-    EvictLocked("dataset", output);
-  }
-  steps_.Clear();
-  // Outputs may have been auto-defined as datasets.
-  FlushQueriesLocked('V');
-  FlushQueriesLocked('D');
-  return Status::OK();
-}
-
-Status CachingCatalogClient::Annotate(std::string_view kind,
-                                      std::string_view name,
-                                      std::string_view key,
-                                      AttributeValue value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  VDG_RETURN_IF_ERROR(
-      upstream_->Annotate(kind, name, key, std::move(value)));
-  EvictLocked(kind, name);
-  if (kind == "dataset") {
-    steps_.Erase(name);
-    FlushQueriesLocked('D');
-  } else if (kind == "transformation") {
-    FlushQueriesLocked('T');
-  } else if (kind == "derivation" || kind == "invocation") {
-    if (kind == "derivation") FlushQueriesLocked('V');
-    steps_.Clear();
-  }
-  return Status::OK();
-}
-
-Result<std::string> CachingCatalogClient::AddReplica(Replica replica) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string dataset = replica.dataset;
-  VDG_ASSIGN_OR_RETURN(std::string id,
-                       upstream_->AddReplica(std::move(replica)));
-  // The dataset's materialized bit may have flipped.
-  EvictLocked("dataset", dataset);
-  FlushQueriesLocked('D');
-  return id;
-}
-
-Result<std::string> CachingCatalogClient::RecordInvocation(
-    Invocation invocation) {
-  std::lock_guard<std::mutex> lock(mu_);
-  VDG_ASSIGN_OR_RETURN(std::string id,
-                       upstream_->RecordInvocation(std::move(invocation)));
-  steps_.Clear();  // steps embed invocation lists
-  return id;
-}
-
-Status CachingCatalogClient::SetDatasetSize(std::string_view name,
-                                            int64_t size_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  VDG_RETURN_IF_ERROR(upstream_->SetDatasetSize(name, size_bytes));
-  EvictLocked("dataset", name);
-  FlushQueriesLocked('D');
-  return Status::OK();
-}
-
-Status CachingCatalogClient::InvalidateReplica(std::string_view id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  VDG_RETURN_IF_ERROR(upstream_->InvalidateReplica(id));
-  // The replica's dataset is unknown from the id alone; every cached
-  // dataset's materialized bit is suspect.
-  FlushQueriesLocked('D');
-  stats_.evictions += objects_.EraseIf(
-      [](const std::string&, const ObjectRecord& record) {
-        return record.kind == "dataset";
-      });
-  return Status::OK();
-}
-
 Result<BatchResult> CachingCatalogClient::ApplyBatch(
     const std::vector<CatalogMutation>& mutations,
     const BatchOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
   VDG_ASSIGN_OR_RETURN(BatchResult result,
                        upstream_->ApplyBatch(mutations, options));
-  // One invalidation pass for the whole batch, mirroring per-op what
-  // each single-op mutation method evicts. Ops that did not apply are
-  // skipped: they changed nothing upstream.
+  // One invalidation pass for the whole batch; single-op mutations
+  // arrive here as one-op batches. Ops that did not apply are skipped:
+  // they changed nothing upstream.
   for (size_t i = 0; i < mutations.size(); ++i) {
     if (i < result.statuses.size() && !result.statuses[i].ok()) continue;
     std::visit(

@@ -157,7 +157,7 @@ struct DegradedReadOptions {
 /// federated indexes accept the same staleness). Revalidate() makes
 /// ONE ChangesSince(synced_version) round trip against the server's
 /// changelog and evicts exactly the objects that changed; when the
-/// bounded changelog no longer reaches back (ResourceExhausted) the
+/// bounded changelog no longer reaches back (FailedPrecondition) the
 /// whole cache is flushed and the version re-synced. Mutations issued
 /// THROUGH this client write through and invalidate immediately, so a
 /// caller always reads its own writes.
@@ -249,18 +249,10 @@ class CachingCatalogClient : public CatalogClient {
       const std::vector<ObjectKey>& keys) override;
   Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) override;
 
-  Status DefineDataset(Dataset dataset) override;
-  Status DefineTransformation(Transformation transformation) override;
-  Status DefineDerivation(Derivation derivation) override;
-  Status Annotate(std::string_view kind, std::string_view name,
-                  std::string_view key, AttributeValue value) override;
-  Result<std::string> AddReplica(Replica replica) override;
-  Result<std::string> RecordInvocation(Invocation invocation) override;
-  Status SetDatasetSize(std::string_view name, int64_t size_bytes) override;
-  Status InvalidateReplica(std::string_view id) override;
-  /// Forwards the whole batch upstream in one call, then runs ONE
-  /// locked invalidation pass applying each applied op's eviction
-  /// rule — instead of locking and evicting once per mutation.
+  /// Every mutation, single-op ones included (see CatalogClient),
+  /// lands here: forwards the whole batch upstream in one call, then
+  /// runs ONE locked invalidation pass applying each applied op's
+  /// eviction rule.
   Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,
                                  const BatchOptions& options = {}) override;
 

@@ -33,13 +33,15 @@ namespace vdg {
 //    breaker or re-opens it. Healthy endpoints never pay for a dead
 //    peer.
 //  - Retry discipline: idempotent reads retry freely inside the
-//    budget. Single mutations are issued at most once on an
-//    established connection — a transport failure afterwards returns
-//    Unavailable marked retry-unsafe (Status::retry_safe() == false)
-//    because the server may already have applied the work. ApplyBatch
-//    is the exception: the client stamps an idempotency token into
-//    BatchOptions so the server-side dedup window makes retries
-//    exactly-once, and then retries it like a read.
+//    budget. Every mutation is an ApplyBatch (single-op methods send
+//    one-op batches), and the client stamps an idempotency token into
+//    its BatchOptions, so the server-side dedup window makes retries
+//    exactly-once and the batch retries like a read. The one
+//    non-idempotent request left is a tokenless ApplyBatch handed
+//    straight to Call: it is issued at most once on an established
+//    connection — a transport failure afterwards returns Unavailable
+//    marked retry-unsafe (Status::retry_safe() == false) because the
+//    server may already have applied the work.
 //
 // Thread-safe: calls may be issued concurrently; endpoint state is
 // guarded by one mutex that is never held across a blocking call.
@@ -80,7 +82,7 @@ struct ResilientStats {
   uint64_t breaker_opens = 0;
   uint64_t breaker_short_circuits = 0;  // attempts skipped on open breakers
   uint64_t exhausted_calls = 0;     // calls that ran out of budget/attempts
-  uint64_t mutation_fail_fast = 0;  // mutations surfaced retry-unsafe
+  uint64_t mutation_fail_fast = 0;  // untokened batches failed fast
 };
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };

@@ -137,10 +137,11 @@ Status ParseAttributes(XmlCursor* cursor, XmlNode* node) {
   }
 }
 
-Result<std::unique_ptr<XmlNode>> ParseElement(XmlCursor* cursor);
+Result<std::unique_ptr<XmlNode>> ParseElement(XmlCursor* cursor, int depth);
 
-// Parses children + text until the matching close tag.
-Status ParseContent(XmlCursor* cursor, XmlNode* node) {
+// Parses children + text until the matching close tag. `depth` is the
+// nesting level of `node` (the root is 1).
+Status ParseContent(XmlCursor* cursor, XmlNode* node, int depth) {
   std::string text;
   while (true) {
     if (cursor->AtEnd()) {
@@ -167,7 +168,7 @@ Status ParseContent(XmlCursor* cursor, XmlNode* node) {
         continue;
       }
       VDG_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> child,
-                           ParseElement(cursor));
+                           ParseElement(cursor, depth + 1));
       node->children.push_back(std::move(child));
     } else {
       text.push_back(cursor->Take());
@@ -175,7 +176,13 @@ Status ParseContent(XmlCursor* cursor, XmlNode* node) {
   }
 }
 
-Result<std::unique_ptr<XmlNode>> ParseElement(XmlCursor* cursor) {
+Result<std::unique_ptr<XmlNode>> ParseElement(XmlCursor* cursor, int depth) {
+  // Each level costs stack frames here, and the input comes from
+  // outside the program: refuse before the nesting can exhaust it.
+  if (depth > kMaxXmlDepth) {
+    return Status::ParseError("elements nested deeper than " +
+                              std::to_string(kMaxXmlDepth) + " levels");
+  }
   if (!cursor->Consume("<")) {
     return Status::ParseError("expected '<' at offset " +
                               std::to_string(cursor->pos()));
@@ -187,7 +194,7 @@ Result<std::unique_ptr<XmlNode>> ParseElement(XmlCursor* cursor) {
   if (!cursor->Consume(">")) {
     return Status::ParseError("malformed open tag <" + node->name);
   }
-  VDG_RETURN_IF_ERROR(ParseContent(cursor, node.get()));
+  VDG_RETURN_IF_ERROR(ParseContent(cursor, node.get(), depth));
   return node;
 }
 
@@ -255,7 +262,8 @@ Result<std::unique_ptr<XmlNode>> ParseXml(std::string_view input) {
     while (!cursor.AtEnd() && !cursor.Consume("-->")) cursor.Take();
     cursor.SkipWhitespace();
   }
-  VDG_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> root, ParseElement(&cursor));
+  VDG_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> root,
+                       ParseElement(&cursor, /*depth=*/1));
   cursor.SkipWhitespace();
   if (!cursor.AtEnd()) {
     return Status::ParseError("trailing content after root element");

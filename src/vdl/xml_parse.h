@@ -29,6 +29,12 @@ struct XmlNode {
   std::vector<const XmlNode*> Children(std::string_view tag) const;
 };
 
+/// Deepest element nesting ParseXml accepts (the root element is level
+/// 1). The exporter writes at most five levels; anything deeper than
+/// this fails with ParseError instead of recursing without bound on
+/// untrusted input.
+inline constexpr int kMaxXmlDepth = 64;
+
 /// Parses one XML document into a node tree.
 Result<std::unique_ptr<XmlNode>> ParseXml(std::string_view input);
 

@@ -1,7 +1,9 @@
 // Client-ladder conformance: every wire::MsgKind, sent as one
 // CatalogClient::Call through each production ladder, must answer
 // exactly what an unsharded in-process catalog answers, and every
-// mutation must land. The ladders:
+// mutation — each of the eight typed single-op methods, which travel as
+// one-op ApplyBatch calls, and a multi-op batch — must land. The
+// ladders:
 //
 //   InProcess
 //   Wire -> server -> InProcess
@@ -15,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -190,12 +194,11 @@ std::string Canon(const Result<wire::Response>& result) {
 }
 
 /// Kinds whose answer a sharded catalog legitimately words its own
-/// way: the composite version, and the ids (and the version inside a
-/// BatchResult) it assigns. Through the sharded ladder these must
-/// succeed with the same body type; the content reads must match.
+/// way: the composite version, and the ids and the version inside a
+/// BatchResult. Through the sharded ladder these must succeed with the
+/// same body type; the content reads must match.
 bool ShardedAnswersDiffer(MsgKind kind) {
-  return kind == MsgKind::kVersion || kind == MsgKind::kAddReplica ||
-         kind == MsgKind::kRecordInvocation || kind == MsgKind::kApplyBatch;
+  return kind == MsgKind::kVersion || kind == MsgKind::kApplyBatch;
 }
 
 class ClientLadderTest : public ::testing::Test {
@@ -225,10 +228,10 @@ class ClientLadderTest : public ::testing::Test {
       Result<wire::Response> got = ladder->top->Call(request);
       if (ladder->sharded && request.kind == MsgKind::kChangesSince) {
         // A composite version is not delta-addressable: the sharded
-        // catalog answers ResourceExhausted and consumers re-anchor
+        // catalog answers FailedPrecondition and consumers re-anchor
         // per shard (ShardChangesSince).
         const Status& status = got.ok() ? got->status : got.status();
-        EXPECT_TRUE(status.IsResourceExhausted()) << status;
+        EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
         continue;
       }
       EXPECT_TRUE(got.ok()) << got.status();
@@ -247,6 +250,25 @@ class ClientLadderTest : public ::testing::Test {
       }
     }
     return expected;
+  }
+
+  /// Runs `mutate` (a typed single-op method) on the reference and on
+  /// every ladder, expects it to succeed everywhere, then checks that
+  /// `probe` now reads differently than before on the reference and
+  /// identically on every ladder.
+  void ExpectTypedLands(const std::function<Status(CatalogClient&)>& mutate,
+                        const wire::Request& probe) {
+    const std::string before = Canon(reference_->Call(probe));
+    ASSERT_TRUE(mutate(*reference_).ok());
+    const std::string after = Canon(reference_->Call(probe));
+    EXPECT_NE(before, after) << "invisible to its probe "
+                             << wire::MsgKindName(probe.kind);
+    for (const auto& ladder : ladders_) {
+      SCOPED_TRACE(ladder->name);
+      Status status = mutate(*ladder->top);
+      EXPECT_TRUE(status.ok()) << status;
+      EXPECT_EQ(Canon(ladder->top->Call(probe)), after);
+    }
   }
 
   /// Applies `mutation` everywhere, then checks that `probe` now reads
@@ -299,48 +321,7 @@ TEST_F(ClientLadderTest, EveryKindAnswersLikeTheUnshardedCatalog) {
                                         {"dataset", "ghost"}}}));
   SendEverywhere(NameRequest(MsgKind::kGetProvenanceStep, "o2"));
 
-  // ---- mutations, each checked through a probe read ----
-  Dataset fresh;
-  fresh.name = "m-ds";
-  fresh.descriptor = DatasetDescriptor::File("/data/m-ds");
-  ExpectLands(Req(MsgKind::kDefineDataset, wire::DefineDatasetReq{fresh}),
-              NameRequest(MsgKind::kHasDataset, "m-ds"));
-
-  Transformation xf2("m-xf", Transformation::Kind::kSimple);
-  FormalArg arg;
-  arg.name = "out";
-  arg.direction = ArgDirection::kOut;
-  ASSERT_TRUE(xf2.AddArg(std::move(arg)).ok());
-  xf2.set_executable("/bin/m-xf");
-  ExpectLands(Req(MsgKind::kDefineTransformation,
-                  wire::DefineTransformationReq{xf2}),
-              NameRequest(MsgKind::kGetTransformation, "m-xf"));
-
-  Derivation dv("m-dv", "xf");
-  ASSERT_TRUE(
-      dv.AddArg(ActualArg::DatasetRef("out", "m-out", ArgDirection::kOut))
-          .ok());
-  ASSERT_TRUE(
-      dv.AddArg(ActualArg::DatasetRef("in", "d5", ArgDirection::kIn)).ok());
-  ExpectLands(Req(MsgKind::kDefineDerivation, wire::DefineDerivationReq{dv}),
-              NameRequest(MsgKind::kProducerOf, "m-out"));
-
-  ExpectLands(Req(MsgKind::kAnnotate,
-                  wire::AnnotateReq{"dataset", "d4", "note", "ladder"}),
-              NameRequest(MsgKind::kGetDataset, "d4"));
-
-  ExpectLands(Req(MsgKind::kSetDatasetSize,
-                  wire::SetDatasetSizeReq{"d6", 777}),
-              NameRequest(MsgKind::kGetDataset, "d6"));
-
-  Invocation run;
-  run.derivation = "v1";
-  run.context.site = "east";
-  run.duration_s = 3;
-  ExpectLands(
-      Req(MsgKind::kRecordInvocation, wire::RecordInvocationReq{run}),
-      NameRequest(MsgKind::kInvocationsOf, "v1"));
-
+  // ---- the one mutation kind, checked through a probe read ----
   std::vector<CatalogMutation> batch;
   batch.push_back(
       CatalogMutation::Annotate("dataset", "d7", "batch", int64_t{1}));
@@ -349,56 +330,111 @@ TEST_F(ClientLadderTest, EveryKindAnswersLikeTheUnshardedCatalog) {
               Req(MsgKind::kBatchGet,
                   wire::BatchGetReq{{{"dataset", "d7"}, {"dataset", "d8"}}}));
 
-  // AddReplica / InvalidateReplica: each catalog assigns its own
-  // replica id, so each ladder invalidates the id it was handed. The
-  // reference goes first and sets the answers the ladders must match.
-  Replica replica;
-  replica.dataset = "d5";
-  replica.site = "west";
-  replica.physical_path = "/replicas/d5";
-  const wire::Request add =
-      Req(MsgKind::kAddReplica, wire::AddReplicaReq{replica});
-  const wire::Request materialized =
-      NameRequest(MsgKind::kIsMaterialized, "d5");
-  const std::string unmaterialized = Canon(reference_->Call(materialized));
-  std::string materialized_answer;
-  std::vector<std::pair<std::string, CatalogClient*>> everyone = {
-      {"reference", reference_.get()}};
-  for (const auto& ladder : ladders_) {
-    everyone.emplace_back(ladder->name, ladder->top.get());
-  }
-  for (const auto& [name, client] : everyone) {
-    SCOPED_TRACE(name);
-    Result<wire::Response> added = client->Call(add);
-    ASSERT_TRUE(added.ok()) << added.status();
-    ASSERT_TRUE(added->status.ok()) << added->status;
-    const auto* id = std::get_if<wire::StringResp>(&added->body);
-    ASSERT_NE(id, nullptr);
-    const std::string after_add = Canon(client->Call(materialized));
-    if (client == reference_.get()) materialized_answer = after_add;
-    EXPECT_NE(after_add, unmaterialized);
-    EXPECT_EQ(after_add, materialized_answer);
-    Result<wire::Response> invalidated =
-        client->Call(NameRequest(MsgKind::kInvalidateReplica, id->value));
-    ASSERT_TRUE(invalidated.ok()) << invalidated.status();
-    EXPECT_TRUE(invalidated->status.ok()) << invalidated->status;
-    EXPECT_EQ(Canon(client->Call(materialized)), unmaterialized);
-  }
-  seen_.insert(MsgKind::kAddReplica);
-  seen_.insert(MsgKind::kInvalidateReplica);
-
   // Every kind went through every ladder.
   for (uint8_t raw = 0; raw < 255; ++raw) {
     if (!wire::IsValidMsgKind(raw)) continue;
     EXPECT_TRUE(seen_.count(static_cast<MsgKind>(raw)))
         << wire::MsgKindName(static_cast<MsgKind>(raw)) << " never sent";
   }
-  EXPECT_EQ(seen_.size(), 26u);
+  EXPECT_EQ(seen_.size(), 18u);
+}
+
+TEST_F(ClientLadderTest, EverySingleOpMethodLandsThroughEveryLadder) {
+  Dataset fresh;
+  fresh.name = "m-ds";
+  fresh.descriptor = DatasetDescriptor::File("/data/m-ds");
+  ExpectTypedLands(
+      [&](CatalogClient& c) { return c.DefineDataset(fresh); },
+      NameRequest(MsgKind::kHasDataset, "m-ds"));
+
+  Transformation xf2("m-xf", Transformation::Kind::kSimple);
+  FormalArg arg;
+  arg.name = "out";
+  arg.direction = ArgDirection::kOut;
+  ASSERT_TRUE(xf2.AddArg(std::move(arg)).ok());
+  xf2.set_executable("/bin/m-xf");
+  ExpectTypedLands(
+      [&](CatalogClient& c) { return c.DefineTransformation(xf2); },
+      NameRequest(MsgKind::kGetTransformation, "m-xf"));
+
+  Derivation dv("m-dv", "xf");
+  ASSERT_TRUE(
+      dv.AddArg(ActualArg::DatasetRef("out", "m-out", ArgDirection::kOut))
+          .ok());
+  ASSERT_TRUE(
+      dv.AddArg(ActualArg::DatasetRef("in", "d5", ArgDirection::kIn)).ok());
+  ExpectTypedLands([&](CatalogClient& c) { return c.DefineDerivation(dv); },
+                   NameRequest(MsgKind::kProducerOf, "m-out"));
+
+  ExpectTypedLands(
+      [](CatalogClient& c) {
+        return c.Annotate("dataset", "d4", "note", "ladder");
+      },
+      NameRequest(MsgKind::kGetDataset, "d4"));
+
+  ExpectTypedLands(
+      [](CatalogClient& c) { return c.SetDatasetSize("d6", 777); },
+      NameRequest(MsgKind::kGetDataset, "d6"));
+
+  Invocation run;
+  run.derivation = "v1";
+  run.context.site = "east";
+  run.duration_s = 3;
+  ExpectTypedLands(
+      [&](CatalogClient& c) {
+        Result<std::string> id = c.RecordInvocation(run);
+        EXPECT_TRUE(!id.ok() || !id->empty());
+        return id.status();
+      },
+      NameRequest(MsgKind::kInvocationsOf, "v1"));
+
+  // AddReplica / InvalidateReplica: each catalog assigns its own
+  // replica id, so each client invalidates the id it was handed.
+  std::map<CatalogClient*, std::string> replica_ids;
+  Replica replica;
+  replica.dataset = "d5";
+  replica.site = "west";
+  replica.physical_path = "/replicas/d5";
+  const wire::Request materialized =
+      NameRequest(MsgKind::kIsMaterialized, "d5");
+  ExpectTypedLands(
+      [&](CatalogClient& c) {
+        Result<std::string> id = c.AddReplica(replica);
+        if (!id.ok()) return id.status();
+        EXPECT_FALSE(id->empty());
+        replica_ids[&c] = *id;
+        return Status::OK();
+      },
+      materialized);
+  ExpectTypedLands(
+      [&](CatalogClient& c) { return c.InvalidateReplica(replica_ids[&c]); },
+      materialized);
+}
+
+TEST_F(ClientLadderTest, CompositeChangesSinceIsAnsweredOnceNotRetried) {
+  // The sharded catalog's refusal of a composite ChangesSince is an
+  // answer (FailedPrecondition), not an admission bounce: the
+  // resilient rung returns it after one attempt and the endpoint stays
+  // healthy.
+  for (const auto& ladder : ladders_) {
+    if (!ladder->sharded) continue;
+    auto* resilient = dynamic_cast<ResilientCatalogClient*>(ladder->top.get());
+    ASSERT_NE(resilient, nullptr);
+    const ResilientStats before = resilient->stats();
+    Result<std::vector<CatalogChange>> changes = resilient->ChangesSince(0);
+    ASSERT_FALSE(changes.ok());
+    EXPECT_EQ(changes.status().code(), StatusCode::kFailedPrecondition)
+        << changes.status();
+    const ResilientStats after = resilient->stats();
+    EXPECT_EQ(after.retries, before.retries);
+    EXPECT_EQ(after.exhausted_calls, before.exhausted_calls);
+    EXPECT_EQ(resilient->breaker_state(0), BreakerState::kClosed);
+  }
 }
 
 TEST(ClientLadderIdempotency, OneTableDecidesRetrySafety) {
   // Reads and the handshake may be re-sent after an ambiguous failure;
-  // single mutations may not; a batch may exactly when it carries a
+  // a batch — the one mutation kind — may exactly when it carries a
   // token for the server's dedup window.
   size_t idempotent = 0;
   for (uint8_t raw = 0; raw < 255; ++raw) {
@@ -415,8 +451,6 @@ TEST(ClientLadderIdempotency, OneTableDecidesRetrySafety) {
   EXPECT_FALSE(wire::IsIdempotent(batch));
   std::get<wire::ApplyBatchReq>(batch.body).options.idempotency_token = "t";
   EXPECT_TRUE(wire::IsIdempotent(batch));
-  EXPECT_FALSE(
-      wire::IsIdempotent(NameRequest(MsgKind::kInvalidateReplica, "r1")));
   EXPECT_TRUE(wire::IsIdempotent(NameRequest(MsgKind::kGetDataset, "d1")));
 }
 

@@ -299,11 +299,18 @@ TEST_F(FedRpcTest, LostMutationFailsFastAndRetryUnsafe) {
   auto client = Resilient(options);
   ASSERT_TRUE(client->HasDataset("d1").ok());  // warm the connection
 
-  // Every reply is lost from here on. A lost mutation is ambiguous (the
-  // server applied it, only the reply vanished), so it must NOT be
-  // blindly re-sent: one attempt, then a retry-unsafe Unavailable.
+  // Every reply is lost from here on. A lost tokenless batch — the one
+  // request the server cannot deduplicate — is ambiguous (the server
+  // applied it, only the reply vanished), so it must NOT be blindly
+  // re-sent: one attempt, then a retry-unsafe Unavailable.
   lost_replies_ = 1'000;
-  Status st = client->SetDatasetSize("d1", 4096);
+  wire::Request tokenless;
+  tokenless.kind = wire::MsgKind::kApplyBatch;
+  tokenless.body =
+      wire::ApplyBatchReq{{CatalogMutation::SetDatasetSize("d1", 4096)}, {}};
+  Result<wire::Response> lost = client->Call(tokenless);
+  ASSERT_FALSE(lost.ok());
+  Status st = lost.status();
   EXPECT_TRUE(st.IsUnavailable()) << st;
   EXPECT_FALSE(st.retry_safe());
   EXPECT_EQ(client->stats().retries, 0u);
@@ -316,6 +323,24 @@ TEST_F(FedRpcTest, LostMutationFailsFastAndRetryUnsafe) {
   EXPECT_TRUE(read.IsUnavailable()) << read;
   EXPECT_EQ(client->stats().retries, 7u);
   EXPECT_EQ(client->stats().mutation_fail_fast, 1u);
+}
+
+TEST_F(FedRpcTest, SingleOpMutationThroughLostRepliesAppliesOnce) {
+  // A single-op mutation is a one-op batch, and the resilient client
+  // tokens every batch: a lost reply is retried and the server's dedup
+  // window replays the recorded outcome instead of applying it again.
+  auto client = Resilient();
+  ASSERT_TRUE(client->HasDataset("d1").ok());  // warm the connection
+  const uint64_t version = catalog_->version();
+  lost_replies_ = 2;  // the mutation's reply, then a re-dial's handshake
+  Status st = client->SetDatasetSize("d1", 4096);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(lost_replies_.load(), 0);
+  EXPECT_EQ(catalog_->GetDataset("d1")->size_bytes, 4096);
+  EXPECT_EQ(catalog_->version(), version + 1);  // applied exactly once
+  EXPECT_GT(client->stats().retries, 0u);
+  EXPECT_EQ(client->stats().mutation_fail_fast, 0u);
+  EXPECT_EQ(server_->stats().batch_dedup_hits.load(), 1u);
 }
 
 TEST_F(FedRpcTest, MutationRetriesThroughOutagesButNotLoss) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "catalog/journal.h"
 #include "catalog/sharding.h"
 #include "catalog/wire.h"
 #include "common/rng.h"
@@ -380,6 +381,66 @@ TEST(ShardedFaults, DownShardFailsGatherClosed) {
 // Composite versions
 // ---------------------------------------------------------------------
 
+/// A memory-only journal whose Flush fails while `*fail` is set: a
+/// commit's ops apply in memory, but its commit point reports the
+/// store's IoError.
+class FailingFlushJournal final : public CatalogJournal {
+ public:
+  explicit FailingFlushJournal(const bool* fail) : fail_(fail) {}
+  Status Append(const std::string& record) override {
+    (void)record;
+    return Status::OK();
+  }
+  Status Flush() override {
+    return *fail_ ? Status::IoError("journal flush failed") : Status::OK();
+  }
+  Result<std::vector<std::string>> ReadAll() override {  // result-api-ok: journal records
+    return std::vector<std::string>{};  // result-api-ok: journal records
+  }
+  Status Sync() override { return Flush(); }
+  bool persistent() const override { return false; }
+
+ private:
+  const bool* fail_;
+};
+
+TEST(ShardedFaults, FailedJournalFlushIsNotAcknowledged) {
+  bool failing = false;
+  std::vector<std::unique_ptr<VirtualDataCatalog>> catalogs;
+  std::vector<std::shared_ptr<CatalogClient>> clients;
+  for (int k = 0; k < 3; ++k) {
+    auto catalog = std::make_unique<VirtualDataCatalog>(
+        "shard" + std::to_string(k) + ".org",
+        std::make_unique<FailingFlushJournal>(&failing));
+    catalog->set_partition_mode(true);
+    ASSERT_TRUE(catalog->Open().ok());
+    clients.push_back(std::make_shared<InProcessCatalogClient>(catalog.get()));
+    catalogs.push_back(std::move(catalog));
+  }
+  ShardedCatalogClient sharded(clients);
+  Dataset ds;
+  ds.name = "d1";
+  ds.descriptor = DatasetDescriptor::File("/data/d1");
+  ASSERT_TRUE(sharded.DefineDataset(ds).ok());
+
+  failing = true;
+  // The op applies on its shard; only the sub-batch's commit point
+  // fails, and the merged batch must say so.
+  Result<BatchResult> batch = sharded.ApplyBatch(
+      {CatalogMutation::Annotate("dataset", "d1", "k", int64_t{1})});
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_EQ(batch->statuses.size(), 1u);
+  EXPECT_TRUE(batch->statuses[0].ok());
+  EXPECT_EQ(batch->first_error.code(), StatusCode::kIoError)
+      << batch->first_error;
+  // A single-op write is a one-op batch: the same failure, not an ack.
+  Status single = sharded.Annotate("dataset", "d1", "k", int64_t{2});
+  EXPECT_EQ(single.code(), StatusCode::kIoError) << single;
+
+  failing = false;
+  EXPECT_TRUE(sharded.Annotate("dataset", "d1", "k", int64_t{3}).ok());
+}
+
 TEST(ShardedVersions, CompositeIsSumAndNotDeltaAddressable) {
   World world = MakeWorld(3);
   ASSERT_TRUE(ApplyWorkload(world.sharded.get(), 9, 48, 12).ok());
@@ -402,9 +463,8 @@ TEST(ShardedVersions, CompositeIsSumAndNotDeltaAddressable) {
   EXPECT_TRUE(world.sharded->ChangesSince(*version + 1)
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(world.sharded->ChangesSince(*version - 1)
-                  .status()
-                  .IsResourceExhausted());
+  EXPECT_EQ(world.sharded->ChangesSince(*version - 1).status().code(),
+            StatusCode::kFailedPrecondition);
 
   // Per-shard changelogs are the real delta source.
   for (uint32_t k = 0; k < 3; ++k) {

@@ -59,6 +59,26 @@ TEST(XmlDomTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseXml("").ok());
 }
 
+TEST(XmlDomTest, NestingDepthIsBounded) {
+  auto nested = [](int depth) {
+    std::string doc;
+    for (int i = 0; i < depth; ++i) doc += "<a>";
+    for (int i = 0; i < depth; ++i) doc += "</a>";
+    return doc;
+  };
+  Result<std::unique_ptr<XmlNode>> at_bound = ParseXml(nested(kMaxXmlDepth));
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status();
+  int depth = 1;
+  for (const XmlNode* node = at_bound->get(); !node->children.empty();
+       node = node->children.front().get()) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, kMaxXmlDepth);
+  Result<std::unique_ptr<XmlNode>> past = ParseXml(nested(kMaxXmlDepth + 1));
+  ASSERT_FALSE(past.ok());
+  EXPECT_TRUE(past.status().IsParseError()) << past.status();
+}
+
 TEST(XmlDomTest, NestedChildrenByTag) {
   Result<std::unique_ptr<XmlNode>> doc =
       ParseXml("<r><p i=\"1\"/><q/><p i=\"2\"/></r>");

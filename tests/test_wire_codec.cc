@@ -1,5 +1,6 @@
 // Wire-codec tests: randomized round-trip property tests over every
-// request and response kind, frame-integrity checks (magic, version,
+// request and response kind (every mutation op travels inside a
+// one-op or multi-op ApplyBatch), frame-integrity checks (magic, version,
 // CRC, declared size), and adversarial byte-mangling — truncation,
 // bit flips, oversized declared payloads — which must always produce
 // a typed error, never a crash or an accepted corrupt message.
@@ -7,6 +8,7 @@
 
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -364,6 +366,22 @@ Request RoundTrip(uint64_t id, const Request& request) {
   return *std::move(decoded);
 }
 
+/// Round-trips `mutation` as a one-op ApplyBatch request — the only
+/// way a mutation travels — and returns the decoded op.
+CatalogMutation OneOpRoundTrip(uint64_t id, CatalogMutation mutation) {
+  ApplyBatchReq req;
+  req.mutations.push_back(std::move(mutation));
+  Request out = RoundTrip(id, Request{MsgKind::kApplyBatch, std::move(req)});
+  const auto& got = std::get<ApplyBatchReq>(out.body).mutations;
+  EXPECT_EQ(got.size(), 1u);
+  return got.empty() ? CatalogMutation{} : got.front();
+}
+
+template <typename Op>
+Op OneOp(uint64_t id, CatalogMutation mutation) {
+  return std::get<Op>(OneOpRoundTrip(id, std::move(mutation)).op);
+}
+
 Response RoundTrip(uint64_t id, const Response& response) {
   std::string frame = EncodeResponseFrame(id, response);
   Result<size_t> size = FrameSize(frame);
@@ -394,7 +412,7 @@ TEST(WireCodecRequests, EmptyAndNameKindsRoundTrip) {
         MsgKind::kGetDerivation, MsgKind::kHasDataset,
         MsgKind::kIsMaterialized, MsgKind::kProducerOf,
         MsgKind::kInvocationsOf, MsgKind::kAllNames,
-        MsgKind::kGetProvenanceStep, MsgKind::kInvalidateReplica}) {
+        MsgKind::kGetProvenanceStep}) {
     std::string name = RandomName(rng);
     Request req{kind, NameReq{name}};
     Request out = RoundTrip(rng.UniformInt(0, 1 << 30), req);
@@ -470,50 +488,52 @@ TEST(WireCodecRequests, FindQueriesRoundTrip) {
 }
 
 TEST(WireCodecRequests, ObjectCarryingRequestsRoundTrip) {
+  using M = CatalogMutation;
   Rng rng(303);
   for (int iter = 0; iter < 50; ++iter) {
     Dataset ds = RandomDataset(rng);
-    Request dout =
-        RoundTrip(iter, Request{MsgKind::kDefineDataset, DefineDatasetReq{ds}});
-    ExpectEq(std::get<DefineDatasetReq>(dout.body).dataset, ds);
+    ExpectEq(OneOp<M::DefineDatasetOp>(iter, M::DefineDataset(ds)).dataset, ds);
 
     Transformation tr = RandomTransformation(rng);
-    Request tout = RoundTrip(
-        iter,
-        Request{MsgKind::kDefineTransformation, DefineTransformationReq{tr}});
-    ExpectEq(std::get<DefineTransformationReq>(tout.body).transformation, tr);
+    ExpectEq(OneOp<M::DefineTransformationOp>(iter, M::DefineTransformation(tr))
+                 .transformation,
+             tr);
 
     Derivation dv = RandomDerivation(rng);
-    Request vout = RoundTrip(
-        iter, Request{MsgKind::kDefineDerivation, DefineDerivationReq{dv}});
-    ExpectEq(std::get<DefineDerivationReq>(vout.body).derivation, dv);
+    ExpectEq(
+        OneOp<M::DefineDerivationOp>(iter, M::DefineDerivation(dv)).derivation,
+        dv);
 
     Replica rep = RandomReplica(rng);
-    Request rout =
-        RoundTrip(iter, Request{MsgKind::kAddReplica, AddReplicaReq{rep}});
-    ExpectEq(std::get<AddReplicaReq>(rout.body).replica, rep);
+    ExpectEq(OneOp<M::AddReplicaOp>(iter, M::AddReplica(rep)).replica, rep);
 
     Invocation inv = RandomInvocation(rng);
-    Request iout = RoundTrip(
-        iter, Request{MsgKind::kRecordInvocation, RecordInvocationReq{inv}});
-    ExpectEq(std::get<RecordInvocationReq>(iout.body).invocation, inv);
+    M::RecordInvocationOp record =
+        OneOp<M::RecordInvocationOp>(iter, M::RecordInvocation(inv));
+    ExpectEq(record.invocation, inv);
+    EXPECT_TRUE(record.produced_from_ops.empty());
   }
 }
 
 TEST(WireCodecRequests, ScalarRequestsRoundTrip) {
+  using M = CatalogMutation;
   Rng rng(404);
-  AnnotateReq areq{"dataset", "d1", "quality", RandomAttributeValue(rng)};
-  Request aout = RoundTrip(3, Request{MsgKind::kAnnotate, areq});
-  const AnnotateReq& agot = std::get<AnnotateReq>(aout.body);
-  EXPECT_EQ(agot.kind, areq.kind);
-  EXPECT_EQ(agot.name, areq.name);
-  EXPECT_EQ(agot.key, areq.key);
-  EXPECT_EQ(agot.value, areq.value);
+  AttributeValue value = RandomAttributeValue(rng);
+  M::AnnotateOp annotate =
+      OneOp<M::AnnotateOp>(3, M::Annotate("dataset", "d1", "quality", value));
+  EXPECT_EQ(annotate.kind, "dataset");
+  EXPECT_EQ(annotate.name, "d1");
+  EXPECT_EQ(annotate.key, "quality");
+  EXPECT_EQ(annotate.value, value);
+  EXPECT_FALSE(annotate.name_from_op.has_value());
 
-  Request sout = RoundTrip(
-      4, Request{MsgKind::kSetDatasetSize, SetDatasetSizeReq{"d2", -1}});
-  EXPECT_EQ(std::get<SetDatasetSizeReq>(sout.body).name, "d2");
-  EXPECT_EQ(std::get<SetDatasetSizeReq>(sout.body).size_bytes, -1);
+  M::SetDatasetSizeOp size =
+      OneOp<M::SetDatasetSizeOp>(4, M::SetDatasetSize("d2", -1));
+  EXPECT_EQ(size.name, "d2");
+  EXPECT_EQ(size.size_bytes, -1);
+
+  EXPECT_EQ(OneOp<M::InvalidateReplicaOp>(5, M::InvalidateReplica("r7")).id,
+            "r7");
 
   TypeConformsReq creq{RandomType(rng), RandomType(rng)};
   Request cout = RoundTrip(5, Request{MsgKind::kTypeConforms, creq});
@@ -574,18 +594,16 @@ TEST(WireCodecRequests, ApplyBatchIdempotencyTokenRoundTrips) {
   EXPECT_TRUE(got.options.stop_on_error);
 }
 
-TEST(WireCodecRequests, ApplyBatchDecodeToleratesTokenlessOldPayloads) {
-  // The idempotency token is a trailing optional field within codec
-  // v1: a payload written by an encoder that predates it (i.e. ends
-  // right after stop_on_error) must still decode, with an empty token.
+TEST(WireCodecRequests, ApplyBatchDecodeRejectsTokenlessPayloads) {
+  // Codec v2 always carries the idempotency token field (empty or
+  // not); a payload that ends right after stop_on_error, as codec v1's
+  // pre-token encoders wrote it, is malformed.
   Rng rng(708);
   ApplyBatchReq req;
   req.mutations.push_back(RandomMutation(rng));
   req.options.stop_on_error = true;
-  // req.options.idempotency_token left empty: the current encoder
-  // appends it as a u32-length-prefixed string, so the empty token is
-  // exactly 4 trailing zero bytes — strip them to reconstruct the
-  // old-format payload.
+  // The empty token is encoded as a u32 length prefix: exactly 4
+  // trailing zero bytes. Strip them to rebuild the old-format payload.
   std::string frame =
       EncodeRequestFrame(11, Request{MsgKind::kApplyBatch, req});
   Result<Frame> envelope = DecodeFrame(frame);
@@ -595,11 +613,9 @@ TEST(WireCodecRequests, ApplyBatchDecodeToleratesTokenlessOldPayloads) {
   std::string old_payload = payload.substr(0, payload.size() - 4);
 
   Result<Request> decoded = DecodeRequest(MsgKind::kApplyBatch, old_payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const ApplyBatchReq& got = std::get<ApplyBatchReq>(decoded->body);
-  EXPECT_TRUE(got.options.idempotency_token.empty());
-  EXPECT_TRUE(got.options.stop_on_error);
-  EXPECT_EQ(got.mutations.size(), 1u);
+  EXPECT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status();
+  EXPECT_TRUE(DecodeRequest(MsgKind::kApplyBatch, payload).ok());
 }
 
 // ------------------------- response round trips ----------------------
@@ -674,7 +690,7 @@ TEST(WireCodecResponses, AllBodyKindsRoundTrip) {
   EXPECT_TRUE(std::get<BoolResp>(RoundTrip(7, flag).body).value);
 
   Response id_resp;
-  id_resp.kind = MsgKind::kAddReplica;
+  id_resp.kind = MsgKind::kProducerOf;
   id_resp.body = StringResp{"replica-17"};
   EXPECT_EQ(std::get<StringResp>(RoundTrip(8, id_resp).body).value,
             "replica-17");
@@ -794,6 +810,14 @@ TEST(WireFrames, BadMagicAndVersionAreProtocolErrors) {
   bad_version[4] = kCodecVersion + 1;
   EXPECT_TRUE(FrameSize(bad_version).status().IsParseError());
   EXPECT_TRUE(DecodeFrame(bad_version).status().IsParseError());
+
+  // A codec v1 peer (26 kinds, single-mutation frames) is refused at
+  // the header, before any kind byte is trusted.
+  ASSERT_EQ(kCodecVersion, 2);
+  std::string v1 = frame;
+  v1[4] = 1;
+  EXPECT_TRUE(FrameSize(v1).status().IsParseError());
+  EXPECT_TRUE(DecodeFrame(v1).status().IsParseError());
 }
 
 TEST(WireFrames, OversizedDeclaredPayloadIsRejected) {
@@ -809,7 +833,9 @@ TEST(WireFrames, OversizedDeclaredPayloadIsRejected) {
 
 TEST(WireFrames, CorruptedBytesFailCrcNeverCrash) {
   Rng rng(909);
-  Request req{MsgKind::kDefineDataset, DefineDatasetReq{RandomDataset(rng)}};
+  Request req{MsgKind::kApplyBatch,
+              ApplyBatchReq{{CatalogMutation::DefineDataset(RandomDataset(rng))},
+                            {}}};
   std::string frame = EncodeRequestFrame(1, req);
   // Flip one random byte at every position in turn: every mutation
   // must be rejected (CRC mismatch, or an envelope field check), and
@@ -825,8 +851,10 @@ TEST(WireFrames, CorruptedBytesFailCrcNeverCrash) {
 TEST(WireFrames, TruncatedPayloadsFailCleanly) {
   Rng rng(1010);
   for (int iter = 0; iter < 20; ++iter) {
-    Request req{MsgKind::kDefineTransformation,
-                DefineTransformationReq{RandomTransformation(rng)}};
+    Request req{MsgKind::kApplyBatch,
+                ApplyBatchReq{{CatalogMutation::DefineTransformation(
+                                  RandomTransformation(rng))},
+                              {}}};
     std::string frame = EncodeRequestFrame(1, req);
     Result<Frame> envelope = DecodeFrame(frame);
     ASSERT_TRUE(envelope.ok());
@@ -865,7 +893,7 @@ TEST(WireFrames, RandomGarbagePayloadsNeverCrash) {
     for (size_t i = 0; i < len; ++i) {
       noise.push_back(static_cast<char>(rng.UniformInt(0, 255)));
     }
-    for (uint8_t raw = 1; raw <= 26; ++raw) {
+    for (uint8_t raw = 1; IsValidMsgKind(raw); ++raw) {
       MsgKind kind = static_cast<MsgKind>(raw);
       (void)DecodeRequest(kind, noise);
       (void)DecodeResponse(kind, noise);
@@ -937,12 +965,16 @@ TEST(WireFrames, StreamingSplitAcrossArbitraryBoundaries) {
 }
 
 TEST(WireFrames, MsgKindNamesAreDistinct) {
-  for (uint8_t raw = 1; raw <= 26; ++raw) {
+  std::set<std::string_view> names;
+  for (uint8_t raw = 1; raw <= 18; ++raw) {
     EXPECT_TRUE(IsValidMsgKind(raw));
     EXPECT_FALSE(MsgKindName(static_cast<MsgKind>(raw)).empty());
+    names.insert(MsgKindName(static_cast<MsgKind>(raw)));
   }
+  EXPECT_EQ(names.size(), 18u);
+  EXPECT_EQ(static_cast<uint8_t>(MsgKind::kApplyBatch), 18);
   EXPECT_FALSE(IsValidMsgKind(0));
-  EXPECT_FALSE(IsValidMsgKind(27));
+  EXPECT_FALSE(IsValidMsgKind(19));
   EXPECT_FALSE(IsValidMsgKind(255));
 }
 

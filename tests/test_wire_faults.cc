@@ -238,7 +238,8 @@ TEST(WireFaults, LostResponseSurfacesRetryUnsafeToTheBareClient) {
 }
 
 TEST(WireFaults, ResilientClientFailsMutationsFastWhenOutcomeIsUnknown) {
-  // The connection breaks while a mutation is in flight: the request
+  // The connection breaks while a tokenless batch — the one mutation
+  // request the server cannot deduplicate — is in flight: the request
   // reached the server, the reply never arrives. The resilient client
   // must NOT blindly re-send it — it surfaces the retry-unsafe
   // Unavailable after the first ambiguous attempt.
@@ -255,8 +256,14 @@ TEST(WireFaults, ResilientClientFailsMutationsFastWhenOutcomeIsUnknown) {
     r.a->Shutdown();
     r.b->Shutdown();
   });
-  Status st = r.client->SetDatasetSize("d1", 2048);
+  wire::Request tokenless;
+  tokenless.kind = wire::MsgKind::kApplyBatch;
+  tokenless.body =
+      wire::ApplyBatchReq{{CatalogMutation::SetDatasetSize("d1", 2048)}, {}};
+  Result<wire::Response> lost = r.client->Call(tokenless);
   killer.join();
+  ASSERT_FALSE(lost.ok());
+  Status st = lost.status();
   EXPECT_TRUE(st.IsUnavailable()) << st;
   EXPECT_FALSE(st.retry_safe());
   EXPECT_EQ(r.client->stats().mutation_fail_fast, 1u);
